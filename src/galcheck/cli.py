@@ -8,18 +8,15 @@ Machine-readable output (JSON or CSV) goes to standard output or the -o
 file; diagnostics go to standard error.  Exit codes: 0 success (for
 `check`: every initial state satisfies the formula), 1 a `check` whose
 formula fails on some initial state, 2 usage/input errors, 3 an internal
-cross-check disagreement in `eq`.
-
-GALCHECK_THREADS (a non-negative integer) caps internal parallelism; the
-current evaluator is sequential, so any cap is honored as written.  0 or
-unset selects the default.
+cross-check disagreement in `eq`, 4 an internal failure (a defect, or a
+limit such as the recursion depth), reported on one line as
+`error: internal: ...`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -57,19 +54,6 @@ MAX_PROFILES = 10**6
 
 class _UsageError(Exception):
     pass
-
-
-def _read_threads_cap() -> int:
-    raw = os.environ.get("GALCHECK_THREADS", "")
-    if raw == "":
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"GALCHECK_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise _UsageError("GALCHECK_THREADS must be >= 0")
-    return cap
 
 
 def _parse_policy(text: str):
@@ -285,11 +269,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        _read_threads_cap()
         return args.fn(args)
     except (_UsageError, GalcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # never exit 1 ("formula false") on a failure
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main_entry() -> None:

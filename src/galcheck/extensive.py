@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .checker import holds_at
+from .checker import check_all
 from .errors import SortError, ValidationError
 from .logic import (
     AG,
@@ -412,11 +412,9 @@ def enumerate_equilibria(
     gs = gs or to_gal_structure(g)
     formula = spe_formula(g) if concept is EquilibriumConcept.SPE else ne_formula(g)
     root = history_label(())
-    out = []
-    for s in profiles(g):
-        if holds_at(gs, root, formula, profile_valuation(gs, g, s)):
-            out.append(s)
-    return out
+    candidates = list(profiles(g))
+    sats = check_all(gs, formula, [profile_valuation(gs, g, s) for s in candidates])
+    return [s for s, sat in zip(candidates, sats) if root in sat.states]
 
 
 def oracle_equilibria(g: ExtensiveGame, concept: EquilibriumConcept) -> list[StrategyProfile]:

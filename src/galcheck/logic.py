@@ -299,13 +299,14 @@ class FormulaMetrics:
 # Formula utilities
 
 
-def _term_vars(t: Term) -> frozenset[Var]:
+def term_variables(t: Term) -> frozenset[Var]:
+    """The variables occurring in a term."""
     if isinstance(t, Var):
         return frozenset((t,))
     if isinstance(t, App):
         out: frozenset[Var] = frozenset()
         for a in t.args:
-            out |= _term_vars(a)
+            out |= term_variables(a)
         return out
     return frozenset()
 
@@ -318,10 +319,10 @@ def free_variables(f: Formula) -> frozenset[Var]:
     if isinstance(f, Pred):
         out: frozenset[Var] = frozenset()
         for a in f.args:
-            out |= _term_vars(a)
+            out |= term_variables(a)
         return out
     if isinstance(f, Eq):
-        return _term_vars(f.left) | _term_vars(f.right)
+        return term_variables(f.left) | term_variables(f.right)
     if isinstance(f, (Not, EX, AX, EF, AF, EG, AG)):
         return free_variables(f.body)
     if isinstance(f, (And, Or, Implies, EU, AU)):

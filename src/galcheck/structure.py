@@ -216,18 +216,6 @@ class GalStructure:
         return out
 
 
-def validate(g: GalStructure) -> list[str]:
-    return g.validate()
-
-
-def successors(g: GalStructure, e: str) -> list[str]:
-    return g.successors(e)
-
-
-def is_deadlock(g: GalStructure, e: str) -> bool:
-    return g.is_deadlock(e)
-
-
 def eval_term(g: GalStructure, e: str, t: Term, v: Valuation | None = None) -> DomainElem:
     """Evaluate a term at a state: variables through the valuation,
     applications through the interpretation provider, bottom-up."""
@@ -273,8 +261,9 @@ def path_violations(g: GalStructure, p: Path) -> list[str]:
     out = []
     if not p.states:
         return ["path has no states"]
+    actions = set(g.actions)
     for a, b in zip(p.states, p.states[1:]):
-        if (a, b) not in set(g.actions):
+        if (a, b) not in actions:
             out.append(f"({a!r}, {b!r}) is not an action")
     if p.cycle_start is None:
         if not g.is_deadlock(p.states[-1]):
@@ -282,7 +271,7 @@ def path_violations(g: GalStructure, p: Path) -> list[str]:
     else:
         if not 0 <= p.cycle_start < len(p.states):
             out.append("cycle start out of range")
-        elif (p.states[-1], p.states[p.cycle_start]) not in set(g.actions):
+        elif (p.states[-1], p.states[p.cycle_start]) not in actions:
             out.append("lasso is not closed under the action relation")
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from galcheck.checker import (
     LabelStore,
     check,
+    check_all,
     holds_at,
     label_key,
     verify_exists,
@@ -13,12 +15,16 @@ from galcheck.checker import (
     verify_player,
     verify_predicate,
 )
-from galcheck.errors import BindingError, ValidationError
+from galcheck.errors import BindingError, InterpretationError, ValidationError
 from galcheck.extensive import (
+    EquilibriumConcept,
+    enumerate_equilibria,
     ne_formula,
+    oracle_equilibria,
     profile_valuation,
     profiles,
     spe_formula,
+    to_gal_structure,
 )
 from galcheck.logic import (
     AU,
@@ -41,6 +47,7 @@ from galcheck.structure import GalStructure, table_provider
 
 from _helpers import (
     random_formula,
+    random_game,
     random_structure,
     run_identity_suite,
     run_path_oracle_suite,
@@ -264,6 +271,14 @@ def test_store_is_monotone(example_structure):
     assert first == again and len(store) == 1
 
 
+def test_store_rejects_conflicting_put():
+    store = LabelStore()
+    key = label_key(Top(), {})
+    store.put(key, frozenset({0, 1}))
+    with pytest.raises(RuntimeError, match="monotone"):
+        store.put(key, frozenset({0}))
+
+
 # --------------------------------------------------------------------------- #
 # Property suites (randomized, seeded)
 
@@ -407,3 +422,76 @@ def test_formulas_agree_with_definitions_per_profile(example_structure, example_
             labels.append(s.labels)
         assert holds_at(example_structure, "()", spe, v) == (s.labels == ("<A>", "<R>"))
     assert labels == [("<A>", "<R>"), ("<B>", "<L>")]
+
+
+# --------------------------------------------------------------------------- #
+# check_all: one pass over many valuations, against check per valuation
+
+
+def _all_valuations(g, variables):
+    combos = itertools.product(*(g.domains[x.sort] for x in variables))
+    return [dict(zip(variables, elems)) for elems in combos]
+
+
+def _assert_same_as_check(g, f, valuations):
+    together = check_all(g, f, valuations)
+    assert len(together) == len(valuations)
+    for v, got in zip(valuations, together):
+        alone = check(g, f, v)
+        assert got.states == alone.states, (f, v)
+        assert got.valuation == alone.valuation
+        assert got.stats.subformulas == alone.stats.subformulas
+
+
+def test_check_all_matches_check_on_hand_built_structure(example_structure):
+    # an Eq atom, Var arguments, and a #S:i literal, under every profile
+    v1, v2 = Var("v1", "S1"), Var("v2", "S2")
+    text = (
+        "h = #H:1 | onpath(h, O(v1:S1, v2:S2)) & exists w:S1 . O(w, v2) = O(v1, v2)"
+        " | E[true U u1(O_h(h, v1, v2)) = #U:2]"
+    )
+    f = parse_formula(text, example_structure.sig)
+    _assert_same_as_check(example_structure, f, _all_valuations(example_structure, [v1, v2]))
+
+
+def test_check_all_matches_check_on_random_formulas():
+    rng = random.Random(8128)
+    for _ in range(40):
+        g = random_structure(rng, max_states=8)
+        free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(0, 2))]
+        f = random_formula(rng, g, depth=3, scope=free)
+        _assert_same_as_check(g, f, _all_valuations(g, free))
+
+
+def test_check_all_equilibria_match_holds_at_and_oracle():
+    rng = random.Random(4096)
+    for _ in range(12):
+        game = random_game(rng)
+        gs = to_gal_structure(game)
+        root = gs.initial[0]
+        candidates = list(profiles(game))
+        valuations = [profile_valuation(gs, game, s) for s in candidates]
+        for concept in EquilibriumConcept:
+            f = spe_formula(game) if concept is EquilibriumConcept.SPE else ne_formula(game)
+            sats = check_all(gs, f, valuations)
+            for v, sat in zip(valuations, sats):
+                assert (root in sat.states) == holds_at(gs, root, f, v)
+            found = enumerate_equilibria(game, concept, gs)
+            assert found == [s for s, sat in zip(candidates, sats) if root in sat.states]
+            assert found == oracle_equilibria(game, concept)
+
+
+def test_check_all_raises_what_check_raises(example_structure):
+    onpath = Pred("onpath", (App("h"), App("O", (Var("v1", "S1"), Var("v2", "S2")))))
+    with pytest.raises(BindingError) as alone:
+        check(example_structure, onpath)
+    with pytest.raises(BindingError) as together:
+        check_all(example_structure, onpath, [{}])
+    assert str(together.value) == str(alone.value)
+
+    out_of_range = Eq(App("h"), DomainConst("H", 99))
+    with pytest.raises(InterpretationError) as alone:
+        check(example_structure, out_of_range)
+    with pytest.raises(InterpretationError) as together:
+        check_all(example_structure, out_of_range, [{}])
+    assert str(together.value) == str(alone.value)

@@ -248,16 +248,17 @@ def test_bench_constant_bound_zero_gives_square_counts(tmp_path, capsys):
 # environment / process-level behavior
 
 
-def test_threads_env_invalid_exit2(example_structure_path, capsys, monkeypatch):
-    monkeypatch.setenv("GALCHECK_THREADS", "many")
-    code, _, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
-    assert code == 2 and "GALCHECK_THREADS" in err
+def test_internal_failure_exit4_without_traceback(example_structure_path, capsys, monkeypatch):
+    import galcheck.cli as cli_mod
 
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("labeler broke")
 
-def test_threads_env_valid_accepted(example_structure_path, capsys, monkeypatch):
-    monkeypatch.setenv("GALCHECK_THREADS", "4")
-    code, _, _ = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
-    assert code == 0
+    monkeypatch.setattr(cli_mod, "check", broken_check)
+    code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: labeler broke\n"
 
 
 def test_console_entry_point_subprocess(example_game_path):

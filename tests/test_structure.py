@@ -8,12 +8,9 @@ from galcheck.structure import (
     GalStructure,
     Path,
     eval_term,
-    is_deadlock,
     maximal_paths,
     path_violations,
-    successors,
     table_provider,
-    validate,
 )
 
 from _helpers import random_structure
@@ -39,18 +36,18 @@ def tiny_structure(actions, players_at, states=("e0", "e1", "e2")):
 
 
 def test_validate_example_structure(example_structure):
-    assert validate(example_structure) == []
+    assert example_structure.validate() == []
 
 
 def test_validate_flags_player_without_successor():
     g = tiny_structure(actions=[("e0", "e1")], players_at={"e0": ["1"], "e1": ["1"], "e2": []})
-    report = validate(g)
+    report = g.validate()
     assert len(report) == 1 and "e1" in report[0]
 
 
 def test_validate_flags_unknown_action_endpoint():
     g = tiny_structure(actions=[("e0", "nowhere")], players_at={})
-    report = validate(g)
+    report = g.validate()
     assert len(report) == 1 and "nowhere" in report[0]
 
 
@@ -58,7 +55,7 @@ def test_validate_flags_missing_domain():
     sig = Signature(sorts={"S"}, functions={}, predicates={}, players=())
     fun_eval, pred_eval = table_provider({}, {}, {}, {})
     g = GalStructure(sig, ["e0"], ["e0"], [], {}, {}, fun_eval, pred_eval)
-    assert any("'S'" in v for v in validate(g))
+    assert any("'S'" in v for v in g.validate())
 
 
 # --------------------------------------------------------------------------- #
@@ -66,25 +63,25 @@ def test_validate_flags_missing_domain():
 
 
 def test_successors_of_example_root(example_structure):
-    assert successors(example_structure, "()") == ["(A)", "(B)"]
-    assert successors(example_structure, "(B)") == []
+    assert example_structure.successors("()") == ["(A)", "(B)"]
+    assert example_structure.successors("(B)") == []
 
 
 def test_successors_unknown_state(example_structure):
     with pytest.raises(ValueError):
-        successors(example_structure, "bogus")
+        example_structure.successors("bogus")
 
 
 def test_successors_empty_relation():
     g = tiny_structure(actions=[], players_at={})
-    assert all(successors(g, e) == [] for e in g.states)
+    assert all(g.successors(e) == [] for e in g.states)
 
 
 def test_deadlock_examples(example_structure):
-    assert is_deadlock(example_structure, "(A,L)")
-    assert not is_deadlock(example_structure, "()")
+    assert example_structure.is_deadlock("(A,L)")
+    assert not example_structure.is_deadlock("()")
     g = tiny_structure(actions=[], players_at={}, states=("only",))
-    assert is_deadlock(g, "only")
+    assert g.is_deadlock("only")
 
 
 # --------------------------------------------------------------------------- #
@@ -195,4 +192,4 @@ def test_maximal_paths_end_in_deadlock_or_lasso():
             for p in maximal_paths(g, start, limit=5000):
                 assert path_violations(g, p) == []
                 if p.cycle_start is None:
-                    assert is_deadlock(g, p.states[-1])
+                    assert g.is_deadlock(p.states[-1])
