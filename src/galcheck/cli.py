@@ -7,10 +7,10 @@ to time pure-equilibrium enumeration over generated tables.
 Machine-readable output (JSON or CSV) goes to standard output or the -o
 file; diagnostics go to standard error.  Exit codes: 0 success (for
 `check`: every initial state satisfies the formula), 1 a `check` whose
-formula fails on some initial state, 2 usage/input errors, 3 an internal
-cross-check disagreement in `eq`, 4 an internal failure (a defect, or a
-limit such as the recursion depth), reported on one line as
-`error: internal: ...`.
+formula fails on some initial state, 2 usage/input errors (including an
+input file nested too deeply to read), 3 an internal cross-check
+disagreement in `eq`, 4 an internal failure (a defect, or a limit such as
+the recursion depth), reported on one line as `error: internal: ...`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .extensive import (
     enumerate_equilibria,
     oracle_equilibria,
     profile_count,
-    to_gal_structure,
 )
 from .gamegen import (
     FirstAvailable,
@@ -124,8 +123,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
             f"game has {count} strategy profiles (> {MAX_PROFILES}); rerun with --force"
         )
     concept = EquilibriumConcept(args.concept)
-    gs = to_gal_structure(game)
-    found = enumerate_equilibria(game, concept, gs)
+    found = enumerate_equilibria(game, concept)
     reference = oracle_equilibria(game, concept)
     agree = found == reference
     print(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -56,12 +57,6 @@ class GameNode:
     def is_terminal(self) -> bool:
         return not self.moves
 
-    def child(self, action: str) -> "GameNode":
-        for a, node in self.moves:
-            if a == action:
-                return node
-        raise ValueError(f"no action {action!r} here")
-
 
 def decision(player: str, moves: Mapping[str, GameNode]) -> GameNode:
     """A decision node; moves are put in canonical (sorted) order."""
@@ -76,6 +71,18 @@ def terminal(utilities: Mapping[str, Fraction | int]) -> GameNode:
 class ExtensiveGame:
     players: tuple[str, ...]
     root: GameNode
+
+    @cached_property
+    def nodes(self) -> dict[History, GameNode]:
+        """Every history's node in preorder, built once without recursion.
+        A duplicated sibling action keeps one child; `validate_game` reports it."""
+        out: dict[History, GameNode] = {}
+        stack: list[tuple[History, GameNode]] = [((), self.root)]
+        while stack:
+            h, node = stack.pop()
+            out[h] = node
+            stack.extend((h + (a,), child) for a, child in reversed(node.moves))
+        return out
 
 
 @dataclass(frozen=True)
@@ -125,37 +132,22 @@ def history_label(h: History) -> str:
 # Tree traversal
 
 
-def node_at(g: ExtensiveGame, h: History) -> GameNode:
-    node = g.root
-    for a in h:
-        node = node.child(a)
-    return node
-
-
 def histories(g: ExtensiveGame) -> list[History]:
     """All histories in preorder; siblings in canonical order."""
-    out: list[History] = []
-
-    def walk(node: GameNode, h: History) -> None:
-        out.append(h)
-        for a, child in node.moves:
-            walk(child, h + (a,))
-
-    walk(g.root, ())
-    return out
+    return list(g.nodes)
 
 
 def terminal_histories(g: ExtensiveGame) -> list[History]:
-    return [h for h in histories(g) if node_at(g, h).is_terminal]
+    return [h for h, node in g.nodes.items() if node.is_terminal]
 
 
 def decision_histories(g: ExtensiveGame, i: str) -> list[History]:
-    return [h for h in histories(g) if node_at(g, h).player == i]
+    return [h for h, node in g.nodes.items() if node.player == i]
 
 
 def utility(g: ExtensiveGame, h: History, i: str) -> Fraction:
-    node = node_at(g, h)
-    if node.utilities is None:
+    node = g.nodes.get(h)
+    if node is None or node.utilities is None:
         raise ValueError(f"history {h!r} is not terminal")
     for p, u in node.utilities:
         if p == i:
@@ -172,12 +164,15 @@ def validate_game(g: ExtensiveGame) -> list[str]:
         out.append("duplicate player ids")
     players = set(g.players)
 
-    def walk(node: GameNode, h: History) -> None:
+    # The raw tree, not `g.nodes`, so both children of a duplicated action are checked.
+    stack: list[tuple[History, GameNode]] = [((), g.root)]
+    while stack:
+        h, node = stack.pop()
         where = history_label(h)
         if node.is_terminal:
             if node.utilities is None:
                 out.append(f"terminal {where} has no utilities")
-                return
+                continue
             given = {p for p, _ in node.utilities}
             for p in g.players:
                 if p not in given:
@@ -194,10 +189,7 @@ def validate_game(g: ExtensiveGame) -> list[str]:
             actions = [a for a, _ in node.moves]
             if len(set(actions)) != len(actions):
                 out.append(f"duplicate sibling actions at {where}")
-            for a, child in node.moves:
-                walk(child, h + (a,))
-
-    walk(g.root, ())
+            stack.extend((h + (a,), child) for a, child in reversed(node.moves))
     return out
 
 
@@ -211,7 +203,7 @@ def strategies(g: ExtensiveGame, i: str) -> list[Strategy]:
     if i not in g.players:
         raise ValueError(f"unknown player {i!r}")
     hs = decision_histories(g, i)
-    menus = [[a for a, _ in node_at(g, h).moves] for h in hs]
+    menus = [[a for a, _ in g.nodes[h].moves] for h in hs]
     out = []
     for picks in itertools.product(*menus):
         out.append(Strategy(i, tuple(zip(hs, picks))))
@@ -220,8 +212,7 @@ def strategies(g: ExtensiveGame, i: str) -> list[Strategy]:
 
 def profile_count(g: ExtensiveGame) -> int:
     n = 1
-    for h in histories(g):
-        node = node_at(g, h)
+    for node in g.nodes.values():
         if not node.is_terminal:
             n *= len(node.moves)
     return n
@@ -229,11 +220,10 @@ def profile_count(g: ExtensiveGame) -> int:
 
 def outcome_from(g: ExtensiveGame, h: History, s: StrategyProfile) -> History:
     """The terminal history reached by following the profile from `h`."""
-    node = node_at(g, h)
+    node = g.nodes[h]
     while not node.is_terminal:
-        action = s.by_owner(node.player).action_at(h)
-        h = h + (action,)
-        node = node.child(action)
+        h = h + (s.by_owner(node.player).action_at(h),)
+        node = g.nodes[h]
     return h
 
 
@@ -263,14 +253,25 @@ def to_gal_structure(g: ExtensiveGame) -> GalStructure:
         if p in _FIXED_SYMBOLS or f"u{p}" in _FIXED_SYMBOLS:
             raise SortError(f"player id {p!r} collides with a generated symbol name")
 
-    hs = histories(g)
-    terms = [h for h in hs if node_at(g, h).is_terminal]
-    by_label = {history_label(h): h for h in hs}
+    states, terms, actions = [], [], []
+    players_at, by_label, utils_seen = {}, {}, set()
+    for h, node in g.nodes.items():
+        label = history_label(h)
+        states.append(label)
+        by_label[label] = h
+        if node.is_terminal:
+            terms.append(label)
+            players_at[label] = frozenset()
+            utils_seen.update(u for _, u in node.utilities)
+        else:
+            players_at[label] = frozenset((node.player,))
+            actions.extend((label, history_label(h + (a,))) for a, _ in node.moves)
+
     strategy_sets = {p: strategies(g, p) for p in g.players}
     strat_by_label = {
         p: {s.label: s for s in strategy_sets[p]} for p in g.players
     }
-    utils = sorted({u for h in terms for _, u in node_at(g, h).utilities})
+    utils = sorted(utils_seen)
     util_value = {_frac_label(u): u for u in utils}
 
     sorts = {"H", "T", "U"} | {f"S{p}" for p in g.players}
@@ -288,8 +289,8 @@ def to_gal_structure(g: ExtensiveGame) -> GalStructure:
     sig = Signature(sorts, functions, predicates, g.players)
 
     domains = {
-        "H": [history_label(h) for h in hs],
-        "T": [history_label(h) for h in terms],
+        "H": states,
+        "T": terms,
         "U": [_frac_label(u) for u in utils],
     }
     for p in g.players:
@@ -319,17 +320,6 @@ def to_gal_structure(g: ExtensiveGame) -> GalStructure:
             return t[: len(h)] == h
         raise ValueError(f"unknown predicate {name!r}")
 
-    states = [history_label(h) for h in hs]
-    actions = []
-    for h in hs:
-        for a, _ in node_at(g, h).moves:
-            actions.append((history_label(h), history_label(h + (a,))))
-    players_at = {
-        history_label(h): (
-            frozenset() if node_at(g, h).is_terminal else frozenset((node_at(g, h).player,))
-        )
-        for h in hs
-    }
     return GalStructure(
         sig=sig,
         states=states,
@@ -402,14 +392,10 @@ def profile_valuation(gs: GalStructure, g: ExtensiveGame, s: StrategyProfile) ->
 # Equilibrium computation
 
 
-def enumerate_equilibria(
-    g: ExtensiveGame,
-    concept: EquilibriumConcept,
-    gs: GalStructure | None = None,
-) -> list[StrategyProfile]:
+def enumerate_equilibria(g: ExtensiveGame, concept: EquilibriumConcept) -> list[StrategyProfile]:
     """All profiles whose equilibrium formula holds at the initial state,
     in lexicographic profile order."""
-    gs = gs or to_gal_structure(g)
+    gs = to_gal_structure(g)
     formula = spe_formula(g) if concept is EquilibriumConcept.SPE else ne_formula(g)
     root = history_label(())
     candidates = list(profiles(g))
@@ -420,21 +406,25 @@ def enumerate_equilibria(
 def oracle_equilibria(g: ExtensiveGame, concept: EquilibriumConcept) -> list[StrategyProfile]:
     """Equilibria by direct definition-chasing over players, histories, and
     deviations; no logic layer involved."""
-    out = []
-    for s in profiles(g):
-        if _oracle_holds(g, s, concept):
-            out.append(s)
-    return out
+    decisions = {i: decision_histories(g, i) for i in g.players}
+    deviations = {i: strategies(g, i) for i in g.players}
+    return [s for s in profiles(g) if _oracle_holds(g, s, concept, decisions, deviations)]
 
 
-def _oracle_holds(g: ExtensiveGame, s: StrategyProfile, concept: EquilibriumConcept) -> bool:
+def _oracle_holds(
+    g: ExtensiveGame,
+    s: StrategyProfile,
+    concept: EquilibriumConcept,
+    decisions: Mapping[str, list[History]],
+    deviations: Mapping[str, list[Strategy]],
+) -> bool:
     path = outcome(g, s)
     for i in g.players:
-        for h in decision_histories(g, i):
+        for h in decisions[i]:
             if concept is EquilibriumConcept.NE and path[: len(h)] != h:
                 continue  # only histories on the profile's own path
             base = utility(g, outcome_from(g, h, s), i)
-            for dev in strategies(g, i):
+            for dev in deviations[i]:
                 swapped = StrategyProfile(
                     tuple(dev if t.owner == i else t for t in s.strategies)
                 )
@@ -449,23 +439,22 @@ def backward_induction(g: ExtensiveGame) -> StrategyProfile:
     violations = validate_game(g)
     if violations:
         raise ValidationError(violations)
-    choices: dict[str, dict[History, str]] = {p: {} for p in g.players}
-
-    def solve(node: GameNode, h: History) -> dict[str, Fraction]:
+    # Reversed preorder visits every child before its parent.
+    values: dict[History, dict[str, Fraction]] = {}
+    best: dict[History, str] = {}
+    for h, node in reversed(g.nodes.items()):
         if node.is_terminal:
-            return dict(node.utilities or ())
-        best_action = None
-        best_values: dict[str, Fraction] | None = None
-        for a, child in node.moves:
-            values = solve(child, h + (a,))
-            if best_values is None or values[node.player] > best_values[node.player]:
-                best_action, best_values = a, values
-        choices[node.player][h] = best_action
-        return best_values
-
-    solve(g.root, ())
-    strats = []
-    for p in g.players:
-        hs = decision_histories(g, p)
-        strats.append(Strategy(p, tuple((h, choices[p][h]) for h in hs)))
-    return StrategyProfile(tuple(strats))
+            values[h] = dict(node.utilities)
+            continue
+        choice, chosen = None, None
+        for a, _ in node.moves:
+            child = values.pop(h + (a,))
+            if chosen is None or child[node.player] > chosen[node.player]:
+                choice, chosen = a, child
+        best[h], values[h] = choice, chosen
+    return StrategyProfile(
+        tuple(
+            Strategy(p, tuple((h, best[h]) for h in decision_histories(g, p)))
+            for p in g.players
+        )
+    )

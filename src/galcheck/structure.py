@@ -27,8 +27,7 @@ class InterpretationProvider:
 
     The memo table is keyed by (symbol, state, argument labels); rigid
     symbols use a state key of None so every state shares one entry.
-    Evaluation must be deterministic, so concurrent duplicate writes are
-    harmless (last write wins with an identical value).
+    Evaluation must be deterministic.
     """
 
     def __init__(

@@ -61,6 +61,8 @@ def _loads(data: bytes | str) -> Any:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
 
 
 # --------------------------------------------------------------------------- #

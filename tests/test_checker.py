@@ -476,7 +476,7 @@ def test_check_all_equilibria_match_holds_at_and_oracle():
             sats = check_all(gs, f, valuations)
             for v, sat in zip(valuations, sats):
                 assert (root in sat.states) == holds_at(gs, root, f, v)
-            found = enumerate_equilibria(game, concept, gs)
+            found = enumerate_equilibria(game, concept)
             assert found == [s for s, sat in zip(candidates, sats) if root in sat.states]
             assert found == oracle_equilibria(game, concept)
 

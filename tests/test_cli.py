@@ -123,6 +123,23 @@ def test_eq_missing_file_exit2(tmp_path, capsys):
     assert code == 2
 
 
+def test_eq_too_deeply_nested_file_exit2(tmp_path, capsys):
+    depth = 3000
+    path = tmp_path / "deep.game.json"
+    path.write_text(
+        '{"players": ["1"], "root": '
+        + '{"player": "1", "moves": {"a": ' * depth
+        + '{"utilities": {"1": 0}}'
+        + "}}" * depth
+        + "}"
+    )
+    code, out, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "ne")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and not err.startswith("error: internal")
+    assert "nested too deeply" in err
+
+
 # --------------------------------------------------------------------------- #
 # gen
 

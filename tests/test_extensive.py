@@ -56,6 +56,36 @@ def test_validate_missing_utility():
     assert any("lacks a utility" in v for v in validate_game(bad))
 
 
+def test_validate_checks_both_children_of_a_duplicated_action():
+    # the node index keeps one child per action; validation must see both
+    bad = ExtensiveGame(
+        ("1",),
+        GameNode(player="1", moves=(("a", terminal({"1": 0})), ("a", GameNode()))),
+    )
+    violations = validate_game(bad)
+    assert "duplicate sibling actions at ()" in violations
+    assert "terminal (a) has no utilities" in violations
+
+
+def _centipede(n):
+    """Players 1 and 2 alternate n times between `take` (the mover gets
+    k + 2, the other k) and `pass`; after n passes both get n."""
+    node = terminal({"1": n, "2": n})
+    for k in reversed(range(n)):
+        mover, other = ("1", "2") if k % 2 == 0 else ("2", "1")
+        node = decision(mover, {"pass": node, "take": terminal({mover: k + 2, other: k})})
+    return ExtensiveGame(("1", "2"), node)
+
+
+def test_deep_game_walks_without_recursion():
+    g = _centipede(2000)
+    assert validate_game(g) == []
+    assert len(histories(g)) == 4001
+    bi = backward_induction(g)
+    assert [len(s.choice) for s in bi.strategies] == [1000, 1000]
+    assert all(a == "take" for s in bi.strategies for _, a in s.choice)
+
+
 # --------------------------------------------------------------------------- #
 # strategies / outcomes
 
@@ -245,9 +275,8 @@ def test_random_games_oracle_agreement_sample():
     rng = random.Random(501)
     for _ in range(12):
         g = random_game(rng, max_profiles=64)
-        gs = to_gal_structure(g)
         for concept in EquilibriumConcept:
-            logic = [p.labels for p in enumerate_equilibria(g, concept, gs)]
+            logic = [p.labels for p in enumerate_equilibria(g, concept)]
             direct = [p.labels for p in oracle_equilibria(g, concept)]
             assert logic == direct
 
