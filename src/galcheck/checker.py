@@ -9,21 +9,34 @@ avoids building new syntax trees.  Until operators are least fixpoints
 computed by backward propagation on the graph, which is what makes the
 results correct on non-total action relations: a deadlock state's only path
 is the one-state path.
+
+`check` labels every instance at every state.  `check_all` labels on demand
+(local model checking): an instance only on its care set, the states whose
+value its parent needs, starting from the states of interest `at` at the
+root.  `!` passes its care set down; `a -> b` labels `b` only where `a`
+holds; `exists` drops a state once an element marks it and stops when none
+is left; `AX` passes down the successors; `E[U]`/`A[U]` label the right
+operand on the forward closure of the care set and the left operand only
+where the right one fails.  Term values are likewise computed lazily, on
+the states some care set reaches.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
-from .errors import BindingError, ValidationError
+from .errors import BindingError, InterpretationError, ValidationError
 from .logic import (
     AU,
     AX,
     EU,
     App,
+    DomainConst,
     DomainElem,
     Eq,
     Exists,
@@ -105,8 +118,8 @@ class SatSet:
 
 
 # --------------------------------------------------------------------------- #
-# The connectives on mark sets, shared by the labeling steps below and
-# by `check_all`.
+# The connectives on mark sets, for the labeling steps below.  `check_all`
+# shares the until fixpoints and restricts the rest to its care sets itself.
 
 
 def _not_marks(g: GalStructure, body: frozenset[int]) -> frozenset[int]:
@@ -276,26 +289,35 @@ def _label(g: GalStructure, f: Formula, env: Valuation, store: LabelStore) -> fr
     raise TypeError(f"not a core formula: {f!r}")
 
 
+def _valuation_check(g: GalStructure, f: Formula):
+    """The binding check of `f`'s valuations; free variables and domains are found once."""
+    fv = sorted(free_variables(f), key=lambda x: x.name)
+    doms = [(var, g.domains.get(var.sort, ())) for var in fv]
+
+    def checked(v: Valuation | None) -> dict[Var, DomainElem]:
+        v = v or {}
+        missing = [var.name for var in fv if var not in v]
+        if missing:
+            raise BindingError(f"free variables not assigned: {', '.join(missing)}")
+        env: dict[Var, DomainElem] = {}
+        for var, dom in doms:
+            elem = v[var]
+            if elem.sort != var.sort or not (0 <= elem.index < len(dom)) or dom[elem.index] != elem:
+                raise BindingError(
+                    f"binding for {var.name}:{var.sort} is not an element of that sort's domain"
+                )
+            env[var] = elem
+        return env
+
+    return checked
+
+
 def _checked_valuation(g: GalStructure, f: Formula, v: Valuation | None) -> dict[Var, DomainElem]:
-    v = dict(v or {})
-    fv = free_variables(f)
-    missing = sorted(var.name for var in fv if var not in v)
-    if missing:
-        raise BindingError(f"free variables not assigned: {', '.join(missing)}")
-    env: dict[Var, DomainElem] = {}
-    for var in fv:
-        elem = v[var]
-        dom = g.domains.get(var.sort, ())
-        if elem.sort != var.sort or not (0 <= elem.index < len(dom)) or dom[elem.index] != elem:
-            raise BindingError(
-                f"binding for {var.name}:{var.sort} is not an element of that sort's domain"
-            )
-        env[var] = elem
-    return env
+    return _valuation_check(g, f)(v)
 
 
 def _sat_set(
-    g: GalStructure, f: Formula, env: Valuation, marks: frozenset[int], store: LabelStore, t0: float
+    g: GalStructure, f: Formula, env: Valuation, marks: Set[int], store: LabelStore | dict, t0: float
 ) -> SatSet:
     millis = (time.perf_counter() - t0) * 1000.0
     return SatSet(
@@ -330,92 +352,184 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     return _sat_set(g, f, env, marks, store, t0)
 
 
-# The connectives `check_all` labels from their operands' marks: the operand
-# fields, and the mark-set operation the single-valuation steps use too.
-_CONNECTIVES = {
-    Not: (("body",), _not_marks),
-    Implies: (("left", "right"), _implies_marks),
-    AX: (("body",), _ax_marks),
-    EU: (("left", "right"), _eu_marks),
-    AU: (("left", "right"), _au_marks),
-}
+def _operands(x: Formula | Term) -> tuple:
+    """The direct operands of a core formula or term, in field order; an
+    `exists` lists its bound variable first."""
+    if isinstance(x, (Not, AX)):
+        return (x.body,)
+    if isinstance(x, (Implies, EU, AU, Eq)):
+        return (x.left, x.right)
+    if isinstance(x, Exists):
+        return (x.var, x.body)
+    if isinstance(x, (Pred, App)):
+        return x.args
+    return ()
 
 
-def check_all(g: GalStructure, f: Formula, valuations: Iterable[Valuation]) -> list[SatSet]:
-    """`check(g, f, v)` for every valuation `v`, in order, in one pass.
+def check_all(
+    g: GalStructure,
+    f: Formula,
+    valuations: Iterable[Valuation],
+    at: Iterable[str] | None = None,
+) -> list[SatSet]:
+    """`check(g, f, v)` for every valuation `v`, in order, in one pass,
+    restricted to the states `at` (state ids; default every state).
 
-    The structure and the formula are checked and the formula expanded
-    once.  Each valuation is labeled with a store of its own, keyed by the
-    subformula and the elements bound to its free variables, which are
-    sorted once per subformula.  An application term is evaluated at all
-    states at once, and that vector is computed once per assignment to the
-    term's own free variables, for every valuation that agrees on them: in
-    the equilibrium formulas `u_i(O_h(h, w_i, v_-i))` is evaluated once for
-    all profiles that differ only in player i's strategy.  The stores, the
-    term vectors and the variable orders live only for the call.
+    The formula is checked and expanded, and its `#S:i` literals checked
+    against the domains, once.  Each valuation is labeled with a store of
+    its own, on demand: an instance only on its care set, as the module
+    docstring says, and only on the states the store has not decided yet.
+    The stats count the instances labeled.  Instances and terms are keyed
+    by a node id and the indices of the elements bound to their free
+    variables.  A term's values are filled on the states a care set asks
+    for, and shared by every valuation that agrees on the term's variables:
+    `u_i(O_h(h, w_i, v_-i))` is evaluated once for all profiles that differ
+    only in player i's strategy.  So interpretation callbacks run only on
+    the states whose value is needed.  Nothing outlives the call.
     """
     violations = g.validate()
     if violations:
         raise ValidationError(violations)
     well_formed(f, g.sig)
-    core = expand_abbreviations(f)
-    n = len(g.states)
-    universe = frozenset(range(n))
-    order: dict[Formula | App, tuple[Var, ...]] = {}
-    vectors: dict[tuple, tuple[DomainElem, ...]] = {}
+    checked = _valuation_check(g, f)
+    states, succ = g.states, g.successor_indices()
+    n = len(states)
+    focus = frozenset(range(n)) if at is None else frozenset([g.state_index(e) for e in at])
 
-    def key_of(node: Formula | App, env: Valuation) -> tuple:
-        names = order.get(node)
-        if names is None:
-            fv = term_variables(node) if isinstance(node, App) else free_variables(node)
-            names = order[node] = tuple(sorted(fv, key=lambda x: x.name))
-        return node, tuple([env[x] for x in names])
+    # Intern the distinct nodes of the core formula and its terms as ids,
+    # and give every variable a slot in the environment list.
+    ids: dict[Formula | Term, int] = {}
+    nodes: list[Formula | Term] = []
+    slots: dict[Var, int] = {}
+    stack: list[Formula | Term] = [expand_abbreviations(f)]
+    while stack:
+        x = stack.pop()
+        if x in ids:
+            continue
+        ids[x] = len(nodes)
+        nodes.append(x)
+        stack.extend(_operands(x))
+        if isinstance(x, Var):
+            slots[x] = len(slots)
+        elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
+            raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
+    kinds = [type(x) for x in nodes]
+    kids = [tuple([ids[y] for y in _operands(x)]) for x in nodes]
+    # A node's key is its id, paired with the element indices in the slots
+    # of its free variables when it has any.
+    getters = []
+    for x in nodes:
+        fv = free_variables(x) if isinstance(x, Formula) else term_variables(x)
+        getters.append(itemgetter(*sorted(slots[v] for v in fv)) if fv else None)
+    sort_of = {slots[v]: g.domains[v.sort] for v in slots}
+    players_of = [g.players_at.get(e, frozenset()) for e in states]
+    pred, fun = g.interp.pred, g.interp.fun
+    vectors: dict[tuple, list] = {}
 
-    def vector(t: Term, env: Valuation) -> tuple[DomainElem, ...]:
-        if not isinstance(t, App):
-            return (eval_term(g, g.states[0], t, env),) * n
-        key = key_of(t, env)
-        values = vectors.get(key)
-        if values is None:
-            fun = g.interp.fun
-            values = vectors[key] = tuple([fun(t.func, e, a) for e, a in zip(g.states, rows(t.args, env))])
-        return values
-
-    def rows(args: tuple[Term, ...], env: Valuation):
-        """The argument tuple at each state, in state order."""
-        return zip(*[vector(a, env) for a in args]) if args else [()] * n
-
-    def label(node: Formula, env: Valuation, store: LabelStore) -> frozenset[int]:
-        key = key_of(node, env)
-        marks = store.get(key)
-        if marks is not None:
-            return marks
-        kind = type(node)
-        if kind is Pred:
-            pred = g.interp.pred
-            states = zip(g.states, rows(node.args, env))
-            marks = frozenset([k for k, (e, a) in enumerate(states) if pred(node.name, e, a)])
-        elif kind is Eq:
-            pairs = zip(vector(node.left, env), vector(node.right, env))
-            marks = frozenset([k for k, (a, b) in enumerate(pairs) if a == b])
-        elif kind is Exists:
-            dom = g.domains[node.var.sort]
-            marks = frozenset().union(*[label(node.body, {**env, node.var: d}, store) for d in dom])
-        elif kind is PlayerAtom:
-            return verify_player(g, node.player, store)
-        elif kind is Top:
-            marks = universe
+    def vector(t: int, env: list[int], care: Set[int]) -> list:
+        """Term t's values by state index, filled at least on `care`."""
+        get = getters[t]
+        key = (t, get(env)) if get else t
+        vec = vectors.get(key)
+        if vec is None:
+            x = nodes[t]
+            if kinds[t] is not App:  # a variable or a literal: one element everywhere
+                elem = sort_of[slots[x]][env[slots[x]]] if kinds[t] is Var else g.domains[x.sort][x.index]
+                vec = vectors[key] = [elem] * n
+                return vec
+            vec = vectors[key] = [None] * n
+            missing = care
+        elif kinds[t] is not App:
+            return vec
         else:
-            fields, op = _CONNECTIVES[kind]
-            marks = op(g, *[label(getattr(node, a), env, store) for a in fields])
-        return store.put(key, marks)
+            missing = [k for k in care if vec[k] is None]
+            if not missing:
+                return vec
+        args = [vector(a, env, missing) for a in kids[t]]
+        name = nodes[t].func
+        for k in missing:
+            vec[k] = fun(name, states[k], tuple([a[k] for a in args]))
+        return vec
+
+    def closure(care: Set[int]) -> set[int]:
+        seen = set(care)
+        todo = list(care)
+        while todo:
+            for s in succ[todo.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        return seen
+
+    def label(i: int, env: list[int], care: Set[int]) -> Set[int]:
+        """The states of `care` where node i holds.  Care sets are never
+        mutated once passed, because the store may keep them."""
+        if not care:
+            return care
+        get = getters[i]
+        key = (i, get(env)) if get else i
+        entry = store.get(key)
+        if entry is None:
+            todo = care
+        else:
+            todo = care - entry[0]
+            if not todo:
+                return entry[1] & care
+        kind, decided = kinds[i], todo
+        if kind is Pred:
+            args = [vector(a, env, todo) for a in kids[i]]
+            name = nodes[i].name
+            marks = {k for k in todo if pred(name, states[k], tuple([a[k] for a in args]))}
+        elif kind is Eq:
+            left, right = [vector(a, env, todo) for a in kids[i]]
+            marks = {k for k in todo if left[k] == right[k]}
+        elif kind is Not:
+            marks = todo - label(kids[i][0], env, todo)
+        elif kind is Implies:
+            holds = label(kids[i][0], env, todo)
+            marks = (todo - holds) | label(kids[i][1], env, holds)
+        elif kind is Exists:
+            var, body = kids[i]
+            slot = slots[nodes[var]]
+            saved, rest, marks = env[slot], todo, set()
+            for d in range(len(sort_of[slot])):
+                env[slot] = d
+                found = label(body, env, rest)
+                if found:
+                    marks |= found
+                    rest = rest - found
+                    if not rest:
+                        break
+            env[slot] = saved
+        elif kind is AX:
+            holds = label(kids[i][0], env, {s for k in todo for s in succ[k]})
+            marks = {k for k in todo if all(s in holds for s in succ[k])}
+        elif kind is EU or kind is AU:
+            decided = closure(todo)
+            goal = label(kids[i][1], env, decided)
+            stay = label(kids[i][0], env, decided - goal)
+            marks = (_eu_marks if kind is EU else _au_marks)(g, stay, goal)
+        elif kind is PlayerAtom:
+            player = nodes[i].player
+            marks = {k for k in todo if player in players_of[k]}
+        elif kind is Top:
+            marks = todo
+        else:
+            raise TypeError(f"not a core formula: {nodes[i]!r}")
+        if entry is not None:
+            decided, marks = entry[0] | decided, entry[1] | marks
+        store[key] = (decided, marks)
+        return marks if decided is care else marks & care
 
     out = []
     for v in valuations:
-        env = _checked_valuation(g, f, v)
+        bindings = checked(v)
+        env = [0] * len(slots)
+        for var, elem in bindings.items():
+            env[slots[var]] = elem.index
         t0 = time.perf_counter()
-        store = LabelStore()
-        out.append(_sat_set(g, f, env, label(core, env, store), store, t0))
+        store: dict = {}
+        out.append(_sat_set(g, f, bindings, label(0, env, focus), store, t0))
     return out
 
 

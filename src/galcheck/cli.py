@@ -16,6 +16,7 @@ the recursion depth), reported on one line as `error: internal: ...`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -206,7 +207,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="galcheck",
         description="Check formulas against game structures and solve games.",

@@ -97,11 +97,15 @@ class Strategy:
     def label(self) -> str:
         return "<" + ",".join(a for _, a in self.choice) + ">"
 
+    @cached_property
+    def _by_history(self) -> dict[History, str]:
+        return dict(reversed(self.choice))  # the first choice at a history wins
+
     def action_at(self, h: History) -> str:
-        for hist, a in self.choice:
-            if hist == h:
-                return a
-        raise ValueError(f"strategy of {self.owner!r} has no choice at {h!r}")
+        try:
+            return self._by_history[h]
+        except KeyError:
+            raise ValueError(f"strategy of {self.owner!r} has no choice at {h!r}") from None
 
 
 @dataclass(frozen=True)
@@ -399,7 +403,7 @@ def enumerate_equilibria(g: ExtensiveGame, concept: EquilibriumConcept) -> list[
     formula = spe_formula(g) if concept is EquilibriumConcept.SPE else ne_formula(g)
     root = history_label(())
     candidates = list(profiles(g))
-    sats = check_all(gs, formula, [profile_valuation(gs, g, s) for s in candidates])
+    sats = check_all(gs, formula, [profile_valuation(gs, g, s) for s in candidates], at=[root])
     return [s for s, sat in zip(candidates, sats) if root in sat.states]
 
 

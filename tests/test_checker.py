@@ -440,7 +440,7 @@ def _assert_same_as_check(g, f, valuations):
         alone = check(g, f, v)
         assert got.states == alone.states, (f, v)
         assert got.valuation == alone.valuation
-        assert got.stats.subformulas == alone.stats.subformulas
+        assert got.stats.subformulas <= alone.stats.subformulas  # instances labeled
 
 
 def test_check_all_matches_check_on_hand_built_structure(example_structure):
@@ -461,6 +461,42 @@ def test_check_all_matches_check_on_random_formulas():
         free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(0, 2))]
         f = random_formula(rng, g, depth=3, scope=free)
         _assert_same_as_check(g, f, _all_valuations(g, free))
+
+
+def test_check_all_at_restricts_to_the_focus_states():
+    # cyclic structures and deadlocks, free variables, random nonempty focus sets
+    rng = random.Random(6174)
+    for _ in range(48):
+        g = random_structure(rng, max_states=10)
+        free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(0, 2))]
+        f = random_formula(rng, g, depth=4, scope=free)
+        valuations = _all_valuations(g, free)
+        focus = rng.sample(g.states, rng.randint(1, len(g.states)))
+        full = check_all(g, f, valuations)
+        for v, whole, part in zip(valuations, full, check_all(g, f, valuations, at=focus)):
+            assert part.states == whole.states & set(focus), (f, v, focus)
+            assert part.valuation == whole.valuation
+            assert part.stats.subformulas <= whole.stats.subformulas
+
+
+def test_check_all_at_rejects_unknown_state(example_structure):
+    with pytest.raises(ValueError, match="unknown state id"):
+        check_all(example_structure, Top(), [{}], at=["()", "(Z)"])
+
+
+def test_check_all_at_root_labels_fewer_instances(example_structure, example_game):
+    ne = ne_formula(example_game)
+    found = {}
+    for s in profiles(example_game):
+        v = profile_valuation(example_structure, example_game, s)
+        sat = check_all(example_structure, ne, [v], at=["()"])[0]
+        alone = check(example_structure, ne, v)
+        assert sat.states == alone.states & {"()"}
+        assert sat.stats.subformulas <= alone.stats.subformulas
+        found[s.labels] = sat.stats.subformulas < alone.stats.subformulas
+    # the outcome path of (B, L) never reaches player 2's move, so player 2's
+    # no-gain instances are never labeled
+    assert found[("<B>", "<L>")]
 
 
 def test_check_all_equilibria_match_holds_at_and_oracle():
@@ -494,4 +530,9 @@ def test_check_all_raises_what_check_raises(example_structure):
         check(example_structure, out_of_range)
     with pytest.raises(InterpretationError) as together:
         check_all(example_structure, out_of_range, [{}])
+    assert str(together.value) == str(alone.value)
+    # literals are checked up front, also where no care set reaches them
+    unreached = Implies(Bottom(), out_of_range)
+    with pytest.raises(InterpretationError) as together:
+        check_all(example_structure, unreached, [{}], at=["()"])
     assert str(together.value) == str(alone.value)

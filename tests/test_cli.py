@@ -56,6 +56,18 @@ def test_check_with_binding(example_structure_path, capsys):
     assert doc["sat"] == ["()", "(B)"]
 
 
+def test_main_calls_in_one_process_are_independent(example_structure_path, capsys):
+    model = str(example_structure_path)
+    bound = ("check", "--model", model, "--formula", "onpath(h, v:T)", "--bind", "v=(B)")
+    assert run_cli(capsys, *bound)[0] == 0
+    # the parser is shared, but the first call's --bind must not carry over
+    code, _, err = run_cli(capsys, "check", "--model", model, "--formula", "onpath(h, v:T)")
+    assert code == 2
+    assert "free variables not assigned: v" in err
+    assert run_cli(capsys, *bound)[0] == 0
+    assert run_cli(capsys, "check", "--model", model)[0] == 2  # missing --formula
+
+
 def test_check_binding_unknown_element(example_structure_path, capsys):
     code, _, err = run_cli(
         capsys,
