@@ -50,8 +50,8 @@ from .logic import (
     Var,
     expand_abbreviations,
     free_variables,
+    operands,
     pretty,
-    term_variables,
     well_formed,
 )
 from .structure import GalStructure, Valuation, eval_term
@@ -312,10 +312,6 @@ def _valuation_check(g: GalStructure, f: Formula):
     return checked
 
 
-def _checked_valuation(g: GalStructure, f: Formula, v: Valuation | None) -> dict[Var, DomainElem]:
-    return _valuation_check(g, f)(v)
-
-
 def _sat_set(
     g: GalStructure, f: Formula, env: Valuation, marks: Set[int], store: LabelStore | dict, t0: float
 ) -> SatSet:
@@ -345,25 +341,11 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     if violations:
         raise ValidationError(violations)
     well_formed(f, g.sig)
-    env = _checked_valuation(g, f, v)
+    env = _valuation_check(g, f)(v)
     t0 = time.perf_counter()
     store = LabelStore()
     marks = _label(g, expand_abbreviations(f), env, store)
     return _sat_set(g, f, env, marks, store, t0)
-
-
-def _operands(x: Formula | Term) -> tuple:
-    """The direct operands of a core formula or term, in field order; an
-    `exists` lists its bound variable first."""
-    if isinstance(x, (Not, AX)):
-        return (x.body,)
-    if isinstance(x, (Implies, EU, AU, Eq)):
-        return (x.left, x.right)
-    if isinstance(x, Exists):
-        return (x.var, x.body)
-    if isinstance(x, (Pred, App)):
-        return x.args
-    return ()
 
 
 def check_all(
@@ -408,18 +390,18 @@ def check_all(
             continue
         ids[x] = len(nodes)
         nodes.append(x)
-        stack.extend(_operands(x))
+        stack.extend(operands(x))
         if isinstance(x, Var):
             slots[x] = len(slots)
         elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
             raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
     kinds = [type(x) for x in nodes]
-    kids = [tuple([ids[y] for y in _operands(x)]) for x in nodes]
+    kids = [tuple([ids[y] for y in operands(x)]) for x in nodes]
     # A node's key is its id, paired with the element indices in the slots
     # of its free variables when it has any.
     getters = []
     for x in nodes:
-        fv = free_variables(x) if isinstance(x, Formula) else term_variables(x)
+        fv = free_variables(x)
         getters.append(itemgetter(*sorted(slots[v] for v in fv)) if fv else None)
     sort_of = {slots[v]: g.domains[v.sort] for v in slots}
     players_of = [g.players_at.get(e, frozenset()) for e in states]

@@ -24,8 +24,9 @@ introduced only by substitution.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import attrgetter, is_not
 from typing import Iterable, Mapping, Union
 
 from .errors import ParseError, SortError, UnknownIdentifierError
@@ -168,14 +169,6 @@ class DomainConst:
 Term = Union[Var, App, DomainConst]
 
 
-def term_sort(t: Term, sig: Signature) -> str:
-    if isinstance(t, Var):
-        return t.sort
-    if isinstance(t, DomainConst):
-        return t.sort
-    return sig.functions[t.func].result
-
-
 # --------------------------------------------------------------------------- #
 # Formulas
 
@@ -296,48 +289,81 @@ class FormulaMetrics:
 
 
 # --------------------------------------------------------------------------- #
+# Node shape
+
+# The fields of each syntax class that hold its operands, in order: its
+# subformulas, its terms, and a quantifier's bound variable.  `args` holds a
+# tuple of terms.  This table is the one place that spells out the shape of
+# a node; `operands` reads it and `rebuild` writes it, and every walk that
+# only recurses into or rebuilds operands goes through these two.
+_ARGS = ("args",)
+_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {
+    Var: (),
+    DomainConst: (),
+    App: _ARGS,
+    Top: (),
+    Bottom: (),
+    PlayerAtom: (),
+    Pred: _ARGS,
+    Eq: ("left", "right"),
+    **dict.fromkeys((Not, EX, AX, EF, AF, EG, AG), ("body",)),
+    **dict.fromkeys((And, Or, Implies, EU, AU), ("left", "right")),
+    **dict.fromkeys((Exists, Forall), ("var", "body")),
+}
+
+
+def _reader(fields: tuple[str, ...]):
+    """A function from a node to the tuple of its `fields` values."""
+    if fields is _ARGS:
+        return attrgetter("args")
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        return lambda x: (getattr(x, fields[0]),)
+    return lambda x: ()
+
+
+_READERS = {cls: _reader(fields) for cls, fields in _OPERAND_FIELDS.items()}
+
+
+def operands(x: Formula | Term) -> tuple:
+    """The direct operands of a formula or term, in field order; a
+    quantifier lists its bound variable first."""
+    try:
+        return _READERS[type(x)](x)
+    except KeyError:
+        raise TypeError(f"not a formula or term: {x!r}") from None
+
+
+def rebuild(x: Formula | Term, new: Iterable) -> Formula | Term:
+    """`x` with its operands replaced by `new`, given in `operands` order."""
+    fields = _OPERAND_FIELDS[type(x)]
+    if fields is _ARGS:
+        return replace(x, args=tuple(new))
+    return replace(x, **dict(zip(fields, new)))
+
+
+# --------------------------------------------------------------------------- #
 # Formula utilities
 
 
-def term_variables(t: Term) -> frozenset[Var]:
-    """The variables occurring in a term."""
-    if isinstance(t, Var):
-        return frozenset((t,))
-    if isinstance(t, App):
-        out: frozenset[Var] = frozenset()
-        for a in t.args:
-            out |= term_variables(a)
-        return out
-    return frozenset()
-
-
+# This module-level cache and the nodes' lazily cached hash stay as they are
+# while the benchmark's bimatrix-ne peak_rss_mb grows with the number of
+# rounds that fit in a run, because a faster `check` then reads as a memory
+# regression.  Carrying free variables on the nodes instead of this cache
+# took it from 21.96 to 24.98 MB; routing `check` through `check_all`, from
+# 22.78 to 29.08 MB.  The bound is 10 %.
 @lru_cache(maxsize=None)
-def free_variables(f: Formula) -> frozenset[Var]:
-    """The free sorted variables of a formula; quantifiers bind."""
-    if isinstance(f, (Top, Bottom, PlayerAtom)):
-        return frozenset()
-    if isinstance(f, Pred):
-        out: frozenset[Var] = frozenset()
-        for a in f.args:
-            out |= term_variables(a)
-        return out
-    if isinstance(f, Eq):
-        return term_variables(f.left) | term_variables(f.right)
-    if isinstance(f, (Not, EX, AX, EF, AF, EG, AG)):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or, Implies, EU, AU)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _subst_term(t: Term, x: Var, c: DomainConst) -> Term:
-    if isinstance(t, Var):
-        return c if t == x else t
-    if isinstance(t, App):
-        return App(t.func, tuple(_subst_term(a, x, c) for a in t.args))
-    return t
+def free_variables(x: Formula | Term) -> frozenset[Var]:
+    """The free sorted variables of a formula or term; quantifiers bind."""
+    if isinstance(x, Var):
+        return frozenset((x,))
+    out: frozenset[Var] = frozenset()
+    for y in operands(x):
+        out |= free_variables(y)
+    if isinstance(x, (Exists, Forall)):
+        out -= {x.var}
+    return out
 
 
 def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
@@ -350,26 +376,29 @@ def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
         raise SortError(f"cannot substitute {d.sort} element for variable of sort {x.sort}")
     c = DomainConst(d.sort, d.index)
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, PlayerAtom)):
-            return g
-        if isinstance(g, Pred):
-            return Pred(g.name, tuple(_subst_term(a, x, c) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(_subst_term(g.left, x, c), _subst_term(g.right, x, c))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies, EU, AU)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (EX, AX, EF, AF, EG, AG)):
-            return type(g)(go(g.body))
-        if isinstance(g, (Exists, Forall)):
-            if g.var == x:
-                return g
-            return type(g)(g.var, go(g.body))
-        raise TypeError(f"not a formula: {g!r}")
+    def go(y: Formula | Term) -> Formula | Term:
+        if y == x:
+            return c
+        ops = operands(y)
+        if not ops or isinstance(y, (Exists, Forall)) and y.var == x:
+            return y
+        return rebuild(y, [go(z) for z in ops])
 
     return go(f)
+
+
+# Each abbreviation's core form, given its operands already expanded.
+_ABBREVIATIONS = {
+    Bottom: lambda: Not(Top()),
+    And: lambda a, b: Not(Implies(a, Not(b))),
+    Or: lambda a, b: Implies(Not(a), b),
+    EX: lambda a: Not(AX(Not(a))),
+    AF: lambda a: AU(Top(), a),
+    EF: lambda a: EU(Top(), a),
+    AG: lambda a: Not(EU(Top(), Not(a))),
+    EG: lambda a: Not(AU(Top(), Not(a))),
+    Forall: lambda x, a: Not(Exists(x, Not(a))),
+}
 
 
 def expand_abbreviations(f: Formula) -> Formula:
@@ -381,39 +410,12 @@ def expand_abbreviations(f: Formula) -> Formula:
     AF a = A[true U a], EF a = E[true U a], AG a = !E[true U !a],
     EG a = !A[true U !a], forall x a = !exists x !a.
     """
-    if isinstance(f, (Top, PlayerAtom, Pred, Eq)):
-        return f
-    if isinstance(f, Bottom):
-        return Not(Top())
-    if isinstance(f, Not):
-        return Not(expand_abbreviations(f.body))
-    if isinstance(f, And):
-        return Not(Implies(expand_abbreviations(f.left), Not(expand_abbreviations(f.right))))
-    if isinstance(f, Or):
-        return Implies(Not(expand_abbreviations(f.left)), expand_abbreviations(f.right))
-    if isinstance(f, Implies):
-        return Implies(expand_abbreviations(f.left), expand_abbreviations(f.right))
-    if isinstance(f, EX):
-        return Not(AX(Not(expand_abbreviations(f.body))))
-    if isinstance(f, AX):
-        return AX(expand_abbreviations(f.body))
-    if isinstance(f, AF):
-        return AU(Top(), expand_abbreviations(f.body))
-    if isinstance(f, EF):
-        return EU(Top(), expand_abbreviations(f.body))
-    if isinstance(f, AG):
-        return Not(EU(Top(), Not(expand_abbreviations(f.body))))
-    if isinstance(f, EG):
-        return Not(AU(Top(), Not(expand_abbreviations(f.body))))
-    if isinstance(f, EU):
-        return EU(expand_abbreviations(f.left), expand_abbreviations(f.right))
-    if isinstance(f, AU):
-        return AU(expand_abbreviations(f.left), expand_abbreviations(f.right))
-    if isinstance(f, Exists):
-        return Exists(f.var, expand_abbreviations(f.body))
-    if isinstance(f, Forall):
-        return Not(Exists(f.var, Not(expand_abbreviations(f.body))))
-    raise TypeError(f"not a formula: {f!r}")
+    ops = operands(f)
+    core = [expand_abbreviations(y) if isinstance(y, Formula) else y for y in ops]
+    rewrite = _ABBREVIATIONS.get(type(f))
+    if rewrite is not None:
+        return rewrite(*core)
+    return rebuild(f, core) if any(map(is_not, core, ops)) else f
 
 
 def metrics(f: Formula) -> FormulaMetrics:
@@ -423,85 +425,70 @@ def metrics(f: Formula) -> FormulaMetrics:
     stack = [expand_abbreviations(f)]
     while stack:
         g = stack.pop()
-        if isinstance(g, AX):
+        if isinstance(g, (AX, EU, AU)):
             modal += 1
-            stack.append(g.body)
-        elif isinstance(g, (EU, AU)):
-            modal += 1
-            stack.extend((g.left, g.right))
         elif isinstance(g, Exists):
             quant += 1
-            stack.append(g.body)
-        elif isinstance(g, Not):
-            stack.append(g.body)
-        elif isinstance(g, Implies):
-            stack.extend((g.left, g.right))
+        stack.extend(operands(g))
     return FormulaMetrics(modal, quant)
 
 
 def well_formed(f: Formula, sig: Signature) -> None:
     """Raise if `f` uses undeclared identifiers, breaks a profile, or
-    rebinds a variable along one quantifier path."""
+    rebinds a variable along one quantifier path.
 
-    def term(t: Term, scope: frozenset[str]) -> str:
-        if isinstance(t, Var):
-            if t.sort not in sig.sorts:
-                raise SortError(f"variable {t.name!r} has undeclared sort {t.sort!r}")
-            return t.sort
-        if isinstance(t, DomainConst):
-            if t.sort not in sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {t.sort!r}")
-            if t.index < 0:
-                raise SortError(f"negative domain index in #{t.sort}:{t.index}")
-            return t.sort
-        decl = sig.functions.get(t.func)
-        if decl is None:
-            raise UnknownIdentifierError(f"unknown function {t.func!r}")
-        if len(t.args) != len(decl.args):
-            raise SortError(f"function {t.func!r} expects {len(decl.args)} arguments")
-        for a, s in zip(t.args, decl.args):
-            if term(a, scope) != s:
-                raise SortError(f"argument of {t.func!r} has sort {term(a, scope)!r}, expected {s!r}")
-        return decl.result
+    This is where arities and sorts are checked; the parser leaves them to
+    it.
+    """
 
-    def go(g: Formula, scope: frozenset[str]) -> None:
-        if isinstance(g, (Top, Bottom)):
-            return
-        if isinstance(g, PlayerAtom):
-            if g.player not in sig.players:
-                raise UnknownIdentifierError(f"unknown player {g.player!r}")
-            return
-        if isinstance(g, Pred):
-            decl = sig.predicates.get(g.name)
+    def go(x: Formula | Term, scope: frozenset[str]) -> str | None:
+        """Check `x`; its sort if it is a term, None if it is a formula."""
+        if isinstance(x, Var):
+            if x.sort not in sig.sorts:
+                raise SortError(f"variable {x.name!r} has undeclared sort {x.sort!r}")
+            return x.sort
+        if isinstance(x, DomainConst):
+            if x.sort not in sig.sorts:
+                raise UnknownIdentifierError(f"unknown sort {x.sort!r}")
+            if x.index < 0:
+                raise SortError(f"negative domain index in #{x.sort}:{x.index}")
+            return x.sort
+        binder = isinstance(x, (Exists, Forall))
+        if binder:
+            if x.var.name in scope:
+                raise SortError(f"variable {x.var.name!r} bound twice on one quantifier path")
+            if x.var.sort not in sig.sorts:
+                raise UnknownIdentifierError(f"unknown sort {x.var.sort!r}")
+            scope = scope | {x.var.name}
+        sorts = []
+        for y in operands(x):
+            sorts.append(go(y, scope))
+        if isinstance(x, (App, Pred)):
+            kind, name, decls = (
+                ("function", x.func, sig.functions) if isinstance(x, App)
+                else ("predicate", x.name, sig.predicates)
+            )
+            decl = decls.get(name)
             if decl is None:
-                raise UnknownIdentifierError(f"unknown predicate {g.name!r}")
-            if len(g.args) != len(decl.args):
-                raise SortError(f"predicate {g.name!r} expects {len(decl.args)} arguments")
-            for a, s in zip(g.args, decl.args):
-                if term(a, scope) != s:
-                    raise SortError(f"argument of {g.name!r} has wrong sort")
-            return
-        if isinstance(g, Eq):
-            if term(g.left, scope) != term(g.right, scope):
-                raise SortError("equality between terms of different sorts")
-            return
-        if isinstance(g, (Not, EX, AX, EF, AF, EG, AG)):
-            go(g.body, scope)
-            return
-        if isinstance(g, (And, Or, Implies, EU, AU)):
-            go(g.left, scope)
-            go(g.right, scope)
-            return
-        if isinstance(g, (Exists, Forall)):
-            if g.var.name in scope:
-                raise SortError(f"variable {g.var.name!r} bound twice on one quantifier path")
-            if g.var.sort not in sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {g.var.sort!r}")
-            go(g.body, scope | {g.var.name})
-            return
-        raise TypeError(f"not a formula: {g!r}")
+                raise UnknownIdentifierError(f"unknown {kind} {name!r}")
+            if len(sorts) != len(decl.args):
+                raise SortError(f"{kind} {name!r} expects {len(decl.args)} arguments, got {len(sorts)}")
+            for got, want in zip(sorts, decl.args):
+                if got != want:
+                    raise SortError(f"argument of {name!r} has sort {got!r}, expected {want!r}")
+            return decl.result if isinstance(x, App) else None
+        if isinstance(x, Eq):
+            if sorts[0] is None or sorts[0] != sorts[1]:
+                raise SortError(f"equality between sorts {sorts[0]!r} and {sorts[1]!r}")
+        elif isinstance(x, PlayerAtom):
+            if x.player not in sig.players:
+                raise UnknownIdentifierError(f"unknown player {x.player!r}")
+        elif any(sorts[1:] if binder else sorts):
+            raise TypeError(f"a term in formula position: {x!r}")
+        return None
 
-    go(f, frozenset())
+    if go(f, frozenset()) is not None:
+        raise TypeError(f"not a formula: {f!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -742,27 +729,13 @@ class _Parser:
             return Bottom()
         if t.kind == "IDENT" and t.value in self.sig.predicates:
             name = self.next().value
-            decl = self.sig.predicates[name]
-            args: tuple[Term, ...] = ()
-            if self.at_sym("("):
-                args = self.term_list(scope)
-            if len(args) != len(decl.args):
-                raise SortError(f"predicate {name!r} expects {len(decl.args)} arguments, got {len(args)}")
-            for a, s in zip(args, decl.args):
-                got = term_sort(a, self.sig)
-                if got != s:
-                    raise SortError(f"argument of {name!r} has sort {got!r}, expected {s!r}")
-            return Pred(name, args)
+            return Pred(name, self.term_list(scope) if self.at_sym("(") else ())
         # Otherwise this must be an equality between terms.
         left = self.term(scope)
         eq = self.next()
         if eq.value != "=":
             raise ParseError(f"found {eq.value or 'end of input'!r}", eq.pos, "'=' after a term")
-        right = self.term(scope)
-        ls, rs = term_sort(left, self.sig), term_sort(right, self.sig)
-        if ls != rs:
-            raise SortError(f"equality between sorts {ls!r} and {rs!r}")
-        return Eq(left, right)
+        return Eq(left, self.term(scope))
 
     def term_list(self, scope: dict[str, Var]) -> tuple[Term, ...]:
         self.expect("(")
@@ -791,17 +764,7 @@ class _Parser:
             raise ParseError(f"{t.value!r} is a reserved word", t.pos, "a term")
         name = self.next().value
         if name in self.sig.functions:
-            decl = self.sig.functions[name]
-            args: tuple[Term, ...] = ()
-            if self.at_sym("("):
-                args = self.term_list(scope)
-            if len(args) != len(decl.args):
-                raise SortError(f"function {name!r} expects {len(decl.args)} arguments, got {len(args)}")
-            for a, s in zip(args, decl.args):
-                got = term_sort(a, self.sig)
-                if got != s:
-                    raise SortError(f"argument of {name!r} has sort {got!r}, expected {s!r}")
-            return App(name, args)
+            return App(name, self.term_list(scope) if self.at_sym("(") else ())
         if name in scope:
             if self.at_sym(":"):
                 raise ParseError(f"variable {name!r} is already bound; drop the annotation", t.pos)
@@ -838,9 +801,13 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     Raises ParseError (with the offending position), SortError, or
     UnknownIdentifierError.  Free variables must carry a sort annotation on
     first use; binders that would shadow an enclosing binder are renamed.
+    The parser resolves names; `well_formed` checks arities and sorts on
+    the finished tree.
     """
     parser = _Parser(text, sig)
     try:
-        return parser.parse()
+        f = parser.parse()
+        well_formed(f, sig)
     except RecursionError:
         raise ParseError("formula is nested too deeply", parser.peek().pos) from None
+    return f

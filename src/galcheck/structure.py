@@ -33,14 +33,12 @@ class InterpretationProvider:
     def __init__(
         self,
         sig: Signature,
-        domains: Mapping[str, tuple[DomainElem, ...]],
+        by_label: Mapping[str, Mapping[str, DomainElem]],
         fun_eval: RawFunEval,
         pred_eval: RawPredEval,
     ):
         self.sig = sig
-        self._by_label = {
-            sort: {e.label: e for e in elems} for sort, elems in domains.items()
-        }
+        self._by_label = by_label  # each sort's domain elements by label
         self.fun_eval = fun_eval
         self.pred_eval = pred_eval
         self._funs: dict[tuple, DomainElem] = {}
@@ -130,8 +128,11 @@ class GalStructure:
             self.domains[sort] = tuple(
                 DomainElem(sort, lab, i) for i, lab in enumerate(labels)
             )
+        self._by_label = {
+            sort: {e.label: e for e in elems} for sort, elems in self.domains.items()
+        }
         self.players_at = {e: frozenset(ps) for e, ps in players_at.items()}
-        self.interp = InterpretationProvider(sig, self.domains, fun_eval, pred_eval)
+        self.interp = InterpretationProvider(sig, self._by_label, fun_eval, pred_eval)
         self._index = {e: i for i, e in enumerate(self.states)}
         self._succ: list[list[int]] = [[] for _ in self.states]
         self._pred: list[list[int]] = [[] for _ in self.states]
@@ -165,10 +166,10 @@ class GalStructure:
         return not self._succ[self.state_index(e)]
 
     def element(self, sort: str, label: str) -> DomainElem:
-        for elem in self.domains.get(sort, ()):
-            if elem.label == label:
-                return elem
-        raise ValueError(f"no element {label!r} in domain of sort {sort!r}")
+        elem = self._by_label.get(sort, {}).get(label)
+        if elem is None:
+            raise ValueError(f"no element {label!r} in domain of sort {sort!r}")
+        return elem
 
     # -- invariants ----------------------------------------------------------
 

@@ -369,3 +369,21 @@ def test_signature_rejects_undeclared_profile_sort():
 def test_well_formed_rejects_bad_player(sig):
     with pytest.raises(UnknownIdentifierError):
         well_formed(PlayerAtom("9"), sig)
+
+
+def test_well_formed_checks_arity_and_sorts_of_built_trees(sig):
+    with pytest.raises(SortError, match="expects 1 arguments, got 2"):
+        well_formed(Pred("p", (App("a"), App("b"))), sig)
+    with pytest.raises(SortError, match="has sort 'H', expected 'S'"):
+        well_formed(Pred("p", (App("g", (App("h"),)),)), sig)
+    with pytest.raises(SortError, match="equality between sorts 'S' and 'H'"):
+        well_formed(Eq(App("a"), App("h")), sig)
+    with pytest.raises(TypeError):
+        well_formed(Not(Var("x", "S")), sig)
+
+
+def test_parse_reports_the_sort_errors_of_well_formed(sig):
+    with pytest.raises(SortError, match="has sort 'H', expected 'S'"):
+        parse_formula("winX & p(g(h))", sig)
+    with pytest.raises(SortError, match="expects 0 arguments, got 1"):
+        parse_formula("h(a) = h", sig)

@@ -193,3 +193,13 @@ def test_maximal_paths_end_in_deadlock_or_lasso():
                 assert path_violations(g, p) == []
                 if p.cycle_start is None:
                     assert g.is_deadlock(p.states[-1])
+
+
+def test_element_by_label(example_structure):
+    for sort, elems in example_structure.domains.items():
+        for elem in elems:
+            assert example_structure.element(sort, elem.label) is elem
+    with pytest.raises(ValueError, match="no element 'nope' in domain of sort 'S1'"):
+        example_structure.element("S1", "nope")
+    with pytest.raises(ValueError, match="no element '<B>' in domain of sort 'Nope'"):
+        example_structure.element("Nope", "<B>")
