@@ -10,15 +10,20 @@ computed by backward propagation on the graph, which is what makes the
 results correct on non-total action relations: a deadlock state's only path
 is the one-state path.
 
-`check` labels every instance at every state.  `check_all` labels on demand
-(local model checking): an instance only on its care set, the states whose
-value its parent needs, starting from the states of interest `at` at the
-root.  `!` passes its care set down; `a -> b` labels `b` only where `a`
-holds; `exists` drops a state once an element marks it and stops when none
-is left; `AX` passes down the successors; `E[U]`/`A[U]` label the right
-operand on the forward closure of the care set and the left operand only
-where the right one fails.  Term values are likewise computed lazily, on
-the states some care set reaches.
+`check` labels every instance at every state.  `check_all` first compiles
+the core formula once: it interns the distinct nodes children first, gives
+each the environment slots of its free variables (a variable has its own
+slot, `exists` removes its bound one), and folds every chain of `!` into
+the polarity of an operand edge, so `!` is never an instance of its own.
+It then labels on demand (local model checking): an instance only on its
+care set, the states whose value its parent needs, starting from the states
+of interest `at` at the root.  A negated edge is the set difference of the
+parent's care set and the operand's marks.  `a -> b` labels `b` only where
+`a` holds; `exists` drops a state once an element marks it and stops when
+none is left; `AX` passes down the successors; `E[U]`/`A[U]` label the
+right operand on the forward closure of the care set and the left operand
+only where the right one fails.  Term values are likewise computed lazily,
+on the states some care set reaches.
 """
 
 from __future__ import annotations
@@ -101,6 +106,12 @@ class LabelStore:
 
 @dataclass(frozen=True)
 class CheckStats:
+    """The size of a check.  `subformulas` counts the ground subformula
+    instances labelled (a subformula with the elements bound to its free
+    variables), not (instance, state) pairs, so labelling fewer states of
+    an instance does not lower it.  In `check_all`, a `!` is an edge, not an
+    instance, and is not counted."""
+
     states: int
     actions: int
     subformulas: int
@@ -289,9 +300,10 @@ def _label(g: GalStructure, f: Formula, env: Valuation, store: LabelStore) -> fr
     raise TypeError(f"not a core formula: {f!r}")
 
 
-def _valuation_check(g: GalStructure, f: Formula):
-    """The binding check of `f`'s valuations; free variables and domains are found once."""
-    fv = sorted(free_variables(f), key=lambda x: x.name)
+def _valuation_check(g: GalStructure, variables: Iterable[Var]):
+    """The binding check of valuations of a formula with these free
+    variables; the variables' domains are found once."""
+    fv = sorted(variables, key=lambda x: x.name)
     doms = [(var, g.domains.get(var.sort, ())) for var in fv]
 
     def checked(v: Valuation | None) -> dict[Var, DomainElem]:
@@ -341,7 +353,7 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     if violations:
         raise ValidationError(violations)
     well_formed(f, g.sig)
-    env = _valuation_check(g, f)(v)
+    env = _valuation_check(g, free_variables(f))(v)
     t0 = time.perf_counter()
     store = LabelStore()
     marks = _label(g, expand_abbreviations(f), env, store)
@@ -357,52 +369,77 @@ def check_all(
     """`check(g, f, v)` for every valuation `v`, in order, in one pass,
     restricted to the states `at` (state ids; default every state).
 
-    The formula is checked and expanded, and its `#S:i` literals checked
-    against the domains, once.  Each valuation is labeled with a store of
-    its own, on demand: an instance only on its care set, as the module
-    docstring says, and only on the states the store has not decided yet.
-    The stats count the instances labeled.  Instances and terms are keyed
-    by a node id and the indices of the elements bound to their free
-    variables.  A term's values are filled on the states a care set asks
-    for, and shared by every valuation that agrees on the term's variables:
-    `u_i(O_h(h, w_i, v_-i))` is evaluated once for all profiles that differ
-    only in player i's strategy.  So interpretation callbacks run only on
-    the states whose value is needed.  Nothing outlives the call.
+    The formula is checked, expanded and compiled once, as the module
+    docstring says: node ids, free-variable slots and `!` folded into
+    operand edges; its `#S:i` literals are checked against the domains on
+    the way.  The slots give the keys and the root's free variables for the
+    binding check, so no module cache (`free_variables`) is read or grown.
+    Each valuation is labeled with a store of its own, on demand: an
+    instance only on its care set, and only on the states the store has not
+    decided yet.  The stats count the instances labeled.  Instances and
+    terms are keyed by a node id and the indices of the elements in the
+    slots of their free variables.  A term's values are filled on the
+    states a care set asks for, and shared by every valuation that agrees
+    on the term's variables: `u_i(O_h(h, w_i, v_-i))` is evaluated once for
+    all profiles that differ only in player i's strategy.  So
+    interpretation callbacks run only on the states whose value is needed.
+    Nothing outlives the call.
     """
     violations = g.validate()
     if violations:
         raise ValidationError(violations)
     well_formed(f, g.sig)
-    checked = _valuation_check(g, f)
     states, succ = g.states, g.successor_indices()
     n = len(states)
     focus = frozenset(range(n)) if at is None else frozenset([g.state_index(e) for e in at])
 
-    # Intern the distinct nodes of the core formula and its terms as ids,
-    # and give every variable a slot in the environment list.
-    ids: dict[Formula | Term, int] = {}
+    # Compile the core formula: intern its distinct nodes and terms in
+    # post-order, without recursion, so that operands get smaller ids than
+    # their parents.  A variable gets a slot in the environment list, and
+    # every node the slots of its free variables.  A chain of `!` is no node
+    # of its own: a formula operand is an edge (id, negated).
+    edges: dict[Formula | Term, tuple[int, bool]] = {}
     nodes: list[Formula | Term] = []
+    kids: list[tuple] = []
+    free: list[frozenset[int]] = []
     slots: dict[Var, int] = {}
-    stack: list[Formula | Term] = [expand_abbreviations(f)]
+    core = expand_abbreviations(f)
+    stack: list[tuple[Formula | Term, bool]] = [(core, False)]
     while stack:
-        x = stack.pop()
-        if x in ids:
+        x, ready = stack.pop()
+        if x in edges:
             continue
-        ids[x] = len(nodes)
-        nodes.append(x)
-        stack.extend(operands(x))
+        if not ready:
+            stack.append((x, True))
+            stack.extend([(y, False) for y in operands(x)])
+            continue
+        if isinstance(x, Not):
+            i, negated = edges[x.body]
+            edges[x] = (i, not negated)
+            continue
+        ops = [edges[y] for y in operands(x)]
+        fv = frozenset().union(*[free[i] for i, _ in ops])
         if isinstance(x, Var):
             slots[x] = len(slots)
+            fv = frozenset([slots[x]])
+        elif isinstance(x, Exists):
+            slot = slots[x.var]
+            fv -= {slot}
+            ops = [slot, ops[1]]  # the bound slot and the body's edge
+        elif isinstance(x, (App, Pred, Eq)):
+            ops = [i for i, _ in ops]  # terms are never negated
         elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
             raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
+        edges[x] = (len(nodes), False)
+        nodes.append(x)
+        kids.append(tuple(ops))
+        free.append(fv)
+    root, negated_root = edges[core]
+    checked = _valuation_check(g, [v for v, slot in slots.items() if slot in free[root]])
     kinds = [type(x) for x in nodes]
-    kids = [tuple([ids[y] for y in operands(x)]) for x in nodes]
     # A node's key is its id, paired with the element indices in the slots
     # of its free variables when it has any.
-    getters = []
-    for x in nodes:
-        fv = free_variables(x)
-        getters.append(itemgetter(*sorted(slots[v] for v in fv)) if fv else None)
+    getters = [itemgetter(*sorted(fv)) if fv else None for fv in free]
     sort_of = {slots[v]: g.domains[v.sort] for v in slots}
     players_of = [g.players_at.get(e, frozenset()) for e in states]
     pred, fun = g.interp.pred, g.interp.fun
@@ -465,18 +502,16 @@ def check_all(
         elif kind is Eq:
             left, right = [vector(a, env, todo) for a in kids[i]]
             marks = {k for k in todo if left[k] == right[k]}
-        elif kind is Not:
-            marks = todo - label(kids[i][0], env, todo)
         elif kind is Implies:
-            holds = label(kids[i][0], env, todo)
-            marks = (todo - holds) | label(kids[i][1], env, holds)
+            (a, neg_a), (b, neg_b) = kids[i]
+            holds = todo - label(a, env, todo) if neg_a else label(a, env, todo)
+            marks = (todo - holds) | (holds - label(b, env, holds) if neg_b else label(b, env, holds))
         elif kind is Exists:
-            var, body = kids[i]
-            slot = slots[nodes[var]]
+            slot, (body, neg) = kids[i]
             saved, rest, marks = env[slot], todo, set()
             for d in range(len(sort_of[slot])):
                 env[slot] = d
-                found = label(body, env, rest)
+                found = rest - label(body, env, rest) if neg else label(body, env, rest)
                 if found:
                     marks |= found
                     rest = rest - found
@@ -484,12 +519,16 @@ def check_all(
                         break
             env[slot] = saved
         elif kind is AX:
-            holds = label(kids[i][0], env, {s for k in todo for s in succ[k]})
+            ((body, neg),) = kids[i]
+            after = {s for k in todo for s in succ[k]}
+            holds = after - label(body, env, after) if neg else label(body, env, after)
             marks = {k for k in todo if all(s in holds for s in succ[k])}
         elif kind is EU or kind is AU:
+            (a, neg_a), (b, neg_b) = kids[i]
             decided = closure(todo)
-            goal = label(kids[i][1], env, decided)
-            stay = label(kids[i][0], env, decided - goal)
+            goal = decided - label(b, env, decided) if neg_b else label(b, env, decided)
+            live = decided - goal
+            stay = live - label(a, env, live) if neg_a else label(a, env, live)
             marks = (_eu_marks if kind is EU else _au_marks)(g, stay, goal)
         elif kind is PlayerAtom:
             player = nodes[i].player
@@ -511,7 +550,10 @@ def check_all(
             env[slots[var]] = elem.index
         t0 = time.perf_counter()
         store: dict = {}
-        out.append(_sat_set(g, f, bindings, label(0, env, focus), store, t0))
+        marks = label(root, env, focus)
+        if negated_root:
+            marks = focus - marks
+        out.append(_sat_set(g, f, bindings, marks, store, t0))
     return out
 
 

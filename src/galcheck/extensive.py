@@ -412,7 +412,8 @@ def oracle_equilibria(g: ExtensiveGame, concept: EquilibriumConcept) -> list[Str
     deviations; no logic layer involved."""
     decisions = {i: decision_histories(g, i) for i in g.players}
     deviations = {i: strategies(g, i) for i in g.players}
-    return [s for s in profiles(g) if _oracle_holds(g, s, concept, decisions, deviations)]
+    best: dict[tuple, Fraction] = {}
+    return [s for s in profiles(g) if _oracle_holds(g, s, concept, decisions, deviations, best)]
 
 
 def _oracle_holds(
@@ -421,20 +422,31 @@ def _oracle_holds(
     concept: EquilibriumConcept,
     decisions: Mapping[str, list[History]],
     deviations: Mapping[str, list[Strategy]],
+    best: dict[tuple, Fraction],
 ) -> bool:
+    """No player gains at any of their decision histories (on the outcome
+    path, for NE) by a unilateral deviation.  The best utility player i
+    reaches from h by any strategy depends only on h and the others'
+    strategies, so `best` keeps it per (i, h, others) across profiles."""
     path = outcome(g, s)
     for i in g.players:
+        others = tuple(t for t in s.strategies if t.owner != i)
         for h in decisions[i]:
             if concept is EquilibriumConcept.NE and path[: len(h)] != h:
                 continue  # only histories on the profile's own path
-            base = utility(g, outcome_from(g, h, s), i)
-            for dev in deviations[i]:
-                swapped = StrategyProfile(
-                    tuple(dev if t.owner == i else t for t in s.strategies)
+            key = (i, h, others)
+            if key not in best:
+                best[key] = max(
+                    utility(g, outcome_from(g, h, _swapped(s, dev)), i) for dev in deviations[i]
                 )
-                if utility(g, outcome_from(g, h, swapped), i) > base:
-                    return False
+            if best[key] > utility(g, outcome_from(g, h, s), i):
+                return False
     return True
+
+
+def _swapped(s: StrategyProfile, dev: Strategy) -> StrategyProfile:
+    """`s` with its strategy for `dev`'s owner replaced by `dev`."""
+    return StrategyProfile(tuple(dev if t.owner == dev.owner else t for t in s.strategies))
 
 
 def backward_induction(g: ExtensiveGame) -> StrategyProfile:

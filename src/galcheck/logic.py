@@ -347,12 +347,14 @@ def rebuild(x: Formula | Term, new: Iterable) -> Formula | Term:
 # Formula utilities
 
 
-# This module-level cache and the nodes' lazily cached hash stay as they are
-# while the benchmark's bimatrix-ne peak_rss_mb grows with the number of
-# rounds that fit in a run, because a faster `check` then reads as a memory
-# regression.  Carrying free variables on the nodes instead of this cache
-# took it from 21.96 to 24.98 MB; routing `check` through `check_all`, from
-# 22.78 to 29.08 MB.  The bound is 10 %.
+# Only `checker.check` and `cli.cmd_check` use this; `check_all` takes free
+# variables from its own compile step.  The module-level cache and the
+# nodes' lazily cached hash stay as they are while the benchmark's
+# bimatrix-ne peak_rss_mb grows with the number of rounds that fit in a
+# run, because a faster `check` then reads as a memory regression.
+# Carrying free variables on the nodes instead of this cache took it from
+# 21.96 to 24.98 MB; routing `check` through `check_all`, from 22.78 to
+# 29.08 MB.  The bound is 10 %.
 @lru_cache(maxsize=None)
 def free_variables(x: Formula | Term) -> frozenset[Var]:
     """The free sorted variables of a formula or term; quantifiers bind."""

@@ -41,6 +41,7 @@ from galcheck.logic import (
     Pred,
     Top,
     Var,
+    free_variables,
     parse_formula,
 )
 from galcheck.structure import GalStructure, table_provider
@@ -461,6 +462,48 @@ def test_check_all_matches_check_on_random_formulas():
         free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(0, 2))]
         f = random_formula(rng, g, depth=3, scope=free)
         _assert_same_as_check(g, f, _all_valuations(g, free))
+
+
+def _nots(f, k):
+    for _ in range(k):
+        f = Not(f)
+    return f
+
+
+def test_check_all_not_chains_match_check():
+    # `!` chains of odd and even length at every operand position that
+    # check_all folds into an edge, with free variables left by `exists`
+    rng = random.Random(2718)
+    for _ in range(12):
+        g = random_structure(rng, max_states=8)
+        y, z = (Var(name, rng.choice(sorted(g.domains))) for name in ("y", "z"))
+        a, b = (random_formula(rng, g, depth=2, scope=[y, z]) for _ in range(2))
+        for k in (1, 2, 3):
+            na, nb = _nots(a, k), _nots(b, k)
+            for f in (
+                na,
+                Implies(na, b), Implies(a, nb),
+                EU(na, b), EU(a, nb),
+                AU(na, b), AU(a, nb),
+                AX(na),
+                Exists(y, na), _nots(Exists(y, Implies(a, nb)), k),
+            ):
+                valuations = _all_valuations(g, sorted(free_variables(f), key=lambda v: v.name))
+                _assert_same_as_check(g, f, valuations)
+                at = g.states[:1]
+                for v, got in zip(valuations, check_all(g, f, valuations, at=at)):
+                    assert got.states == check(g, f, v).states & set(at), (f, v)
+
+
+def test_check_all_stays_out_of_the_free_variables_cache(example_structure, example_game):
+    valuations = [profile_valuation(example_structure, example_game, s) for s in profiles(example_game)]
+    for concept in EquilibriumConcept:
+        f = spe_formula(example_game) if concept is EquilibriumConcept.SPE else ne_formula(example_game)
+        before = free_variables.cache_info()
+        check_all(example_structure, f, valuations)
+        check_all(example_structure, f, valuations, at=["()"])
+        enumerate_equilibria(example_game, concept)
+        assert free_variables.cache_info() == before, concept
 
 
 def test_check_all_at_restricts_to_the_focus_states():
