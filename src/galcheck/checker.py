@@ -10,20 +10,25 @@ computed by backward propagation on the graph, which is what makes the
 results correct on non-total action relations: a deadlock state's only path
 is the one-state path.
 
-`check` labels every instance at every state.  `check_all` first compiles
-the core formula once: it interns the distinct nodes children first, gives
-each the environment slots of its free variables (a variable has its own
-slot, `exists` removes its bound one), and folds every chain of `!` into
-the polarity of an operand edge, so `!` is never an instance of its own.
-It then labels on demand (local model checking): an instance only on its
-care set, the states whose value its parent needs, starting from the states
-of interest `at` at the root.  A negated edge is the set difference of the
-parent's care set and the operand's marks.  `a -> b` labels `b` only where
-`a` holds; `exists` drops a state once an element marks it and stops when
-none is left; `AX` passes down the successors; `E[U]`/`A[U]` label the
-right operand on the forward closure of the care set and the left operand
-only where the right one fails.  Term values are likewise computed lazily,
-on the states some care set reaches.
+`check` labels every instance at every state, recursively, keyed by the
+free-variable map of the core formula, built once per call.  Expansion
+rejects a formula deeper than `logic.MAX_DEPTH`, so neither labeller runs
+out of Python's recursion limit; neither keeps anything once it returns.
+`check_all` first compiles the core formula once: it numbers the distinct
+nodes children first (equal nodes share a number, found without comparing
+nodes), gives each the environment slots of its free variables (a
+variable has its own slot, `exists` removes its bound one), and folds
+every chain of `!` into the polarity of an operand edge, so `!` is never
+an instance of its own.  It then labels on demand (local model
+checking): an instance only on its care set, the states whose value its
+parent needs, starting from the states of interest `at` at the root.  A
+negated edge is the set difference of the parent's care set and the
+operand's marks.  `a -> b` labels `b` only where `a` holds; `exists` drops
+a state once an element marks it and stops when none is left; `AX` passes
+down the successors; `E[U]`/`A[U]` label the right operand on the forward
+closure of the care set and the left operand only where the right one
+fails.  Term values are likewise computed lazily, on the states some care
+set reaches.
 """
 
 from __future__ import annotations
@@ -53,9 +58,12 @@ from .logic import (
     Term,
     Top,
     Var,
+    attributes,
     expand_abbreviations,
+    free_variable_map,
     free_variables,
     operands,
+    post_order,
     pretty,
     well_formed,
 )
@@ -64,8 +72,10 @@ from .structure import GalStructure, Valuation, eval_term
 LabelKey = tuple  # (subformula, ((var, elem), ...) sorted by variable name)
 
 
-def label_key(f: Formula, env: Valuation) -> LabelKey:
-    fv = free_variables(f)
+def label_key(f: Formula, env: Valuation, free: dict[int, frozenset[Var]] | None = None) -> LabelKey:
+    """`f` with the elements `env` binds to its free variables, found in
+    `free` (the `free_variable_map` of a formula holding `f`) if given."""
+    fv = free_variables(f) if free is None else free[id(f)]
     return (f, tuple(sorted(((v, env[v]) for v in fv), key=lambda p: p[0].name)))
 
 
@@ -73,10 +83,12 @@ class LabelStore:
     """Marks per (ground subformula instance) as sets of state indices.
 
     Labeling is monotone: an entry is written exactly once, when its
-    subformula's processing step completes, and never retracted.
+    subformula's processing step completes, and never retracted.  `free`,
+    the free-variable map of the formula being labeled, gives the keys.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, free: dict[int, frozenset[Var]] | None = None) -> None:
+        self.free = free
         self._marks: dict[LabelKey, frozenset[int]] = {}
 
     def get(self, key: LabelKey) -> frozenset[int] | None:
@@ -99,9 +111,6 @@ class LabelStore:
 
     def __len__(self) -> int:
         return len(self._marks)
-
-    def __contains__(self, key: LabelKey) -> bool:
-        return key in self._marks
 
 
 @dataclass(frozen=True)
@@ -131,14 +140,6 @@ class SatSet:
 # --------------------------------------------------------------------------- #
 # The connectives on mark sets, for the labeling steps below.  `check_all`
 # shares the until fixpoints and restricts the rest to its care sets itself.
-
-
-def _not_marks(g: GalStructure, body: frozenset[int]) -> frozenset[int]:
-    return frozenset(range(len(g.states))) - body
-
-
-def _implies_marks(g: GalStructure, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    return (frozenset(range(len(g.states))) - left) | right
 
 
 def _ax_marks(g: GalStructure, body: frozenset[int]) -> frozenset[int]:
@@ -205,7 +206,7 @@ def verify_predicate(g: GalStructure, f: Pred, env: Valuation, store: LabelStore
         args = tuple(eval_term(g, e, t, env) for t in f.args)
         if g.interp.pred(f.name, e, args):
             marks.add(k)
-    return store.put(label_key(f, env), frozenset(marks))
+    return store.put(label_key(f, env, store.free), frozenset(marks))
 
 
 def verify_equality(g: GalStructure, f: Eq, env: Valuation, store: LabelStore) -> frozenset[int]:
@@ -214,35 +215,25 @@ def verify_equality(g: GalStructure, f: Eq, env: Valuation, store: LabelStore) -
     for k, e in enumerate(g.states):
         if eval_term(g, e, f.left, env) == eval_term(g, e, f.right, env):
             marks.add(k)
-    return store.put(label_key(f, env), frozenset(marks))
+    return store.put(label_key(f, env, store.free), frozenset(marks))
 
 
-def verify_not(g: GalStructure, f: Not, env: Valuation, store: LabelStore) -> frozenset[int]:
-    body = store.require(label_key(f.body, env))
-    return store.put(label_key(f, env), _not_marks(g, body))
+def _step(marks):
+    """The labeling step of a connective: its instance's marks are
+    `marks(g, ...)` of its operands' marks, which must be in the store."""
+
+    def step(g: GalStructure, f: Formula, env: Valuation, store: LabelStore) -> frozenset[int]:
+        ops = [store.require(label_key(y, env, store.free)) for y in operands(f)]
+        return store.put(label_key(f, env, store.free), marks(g, *ops))
+
+    return step
 
 
-def verify_implies(g: GalStructure, f: Implies, env: Valuation, store: LabelStore) -> frozenset[int]:
-    left = store.require(label_key(f.left, env))
-    right = store.require(label_key(f.right, env))
-    return store.put(label_key(f, env), _implies_marks(g, left, right))
-
-
-def verify_ax(g: GalStructure, f: AX, env: Valuation, store: LabelStore) -> frozenset[int]:
-    body = store.require(label_key(f.body, env))
-    return store.put(label_key(f, env), _ax_marks(g, body))
-
-
-def verify_eu(g: GalStructure, f: EU, env: Valuation, store: LabelStore) -> frozenset[int]:
-    left = store.require(label_key(f.left, env))
-    right = store.require(label_key(f.right, env))
-    return store.put(label_key(f, env), _eu_marks(g, left, right))
-
-
-def verify_au(g: GalStructure, f: AU, env: Valuation, store: LabelStore) -> frozenset[int]:
-    left = store.require(label_key(f.left, env))
-    right = store.require(label_key(f.right, env))
-    return store.put(label_key(f, env), _au_marks(g, left, right))
+verify_not = _step(lambda g, body: frozenset(range(len(g.states))) - body)
+verify_implies = _step(lambda g, left, right: (frozenset(range(len(g.states))) - left) | right)
+verify_ax = _step(_ax_marks)
+verify_eu = _step(_eu_marks)
+verify_au = _step(_au_marks)
 
 
 def verify_exists(g: GalStructure, f: Exists, env: Valuation, store: LabelStore) -> frozenset[int]:
@@ -252,8 +243,8 @@ def verify_exists(g: GalStructure, f: Exists, env: Valuation, store: LabelStore)
     for d in g.domains[f.var.sort]:
         inner = dict(env)
         inner[f.var] = d
-        marks |= store.require(label_key(f.body, inner))
-    return store.put(label_key(f, env), frozenset(marks))
+        marks |= store.require(label_key(f.body, inner, store.free))
+    return store.put(label_key(f, env, store.free), frozenset(marks))
 
 
 # --------------------------------------------------------------------------- #
@@ -261,7 +252,7 @@ def verify_exists(g: GalStructure, f: Exists, env: Valuation, store: LabelStore)
 
 
 def _label(g: GalStructure, f: Formula, env: Valuation, store: LabelStore) -> frozenset[int]:
-    key = label_key(f, env)
+    key = label_key(f, env, store.free)
     hit = store.get(key)
     if hit is not None:
         return hit
@@ -353,10 +344,12 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     if violations:
         raise ValidationError(violations)
     well_formed(f, g.sig)
-    env = _valuation_check(g, free_variables(f))(v)
     t0 = time.perf_counter()
-    store = LabelStore()
-    marks = _label(g, expand_abbreviations(f), env, store)
+    core = expand_abbreviations(f)
+    free = free_variable_map(core)
+    env = _valuation_check(g, free[id(core)])(v)
+    store = LabelStore(free)
+    marks = _label(g, core, env, store)
     return _sat_set(g, f, env, marks, store, t0)
 
 
@@ -373,17 +366,16 @@ def check_all(
     docstring says: node ids, free-variable slots and `!` folded into
     operand edges; its `#S:i` literals are checked against the domains on
     the way.  The slots give the keys and the root's free variables for the
-    binding check, so no module cache (`free_variables`) is read or grown.
-    Each valuation is labeled with a store of its own, on demand: an
-    instance only on its care set, and only on the states the store has not
-    decided yet.  The stats count the instances labeled.  Instances and
-    terms are keyed by a node id and the indices of the elements in the
-    slots of their free variables.  A term's values are filled on the
-    states a care set asks for, and shared by every valuation that agrees
-    on the term's variables: `u_i(O_h(h, w_i, v_-i))` is evaluated once for
-    all profiles that differ only in player i's strategy.  So
-    interpretation callbacks run only on the states whose value is needed.
-    Nothing outlives the call.
+    binding check.  Each valuation is labeled with a store of its own, on
+    demand: an instance only on its care set, and only on the states the
+    store has not decided yet.  The stats count the instances labeled.
+    Instances and terms are keyed by a node id and the indices of the
+    elements in the slots of their free variables.  A term's values are
+    filled on the states a care set asks for, and shared by every valuation
+    that agrees on the term's variables: `u_i(O_h(h, w_i, v_-i))` is
+    evaluated once for all profiles that differ only in player i's
+    strategy.  So interpretation callbacks run only on the states whose
+    value is needed.  Nothing outlives the call.
     """
     violations = g.validate()
     if violations:
@@ -393,48 +385,47 @@ def check_all(
     n = len(states)
     focus = frozenset(range(n)) if at is None else frozenset([g.state_index(e) for e in at])
 
-    # Compile the core formula: intern its distinct nodes and terms in
-    # post-order, without recursion, so that operands get smaller ids than
-    # their parents.  A variable gets a slot in the environment list, and
-    # every node the slots of its free variables.  A chain of `!` is no node
-    # of its own: a formula operand is an edge (id, negated).
-    edges: dict[Formula | Term, tuple[int, bool]] = {}
+    # Compile the core formula: number its distinct nodes and terms in
+    # post-order, so that operands get smaller numbers than their parents.
+    # Equal nodes (the same class, attributes and operand edges) share a
+    # number, found without comparing nodes.  A variable gets a slot in the
+    # environment list, and every node the slots of its free variables.  A
+    # chain of `!` is no node of its own: a formula operand is an edge
+    # (number, negated).
+    edges: dict[int, tuple[int, bool]] = {}  # id of a core node -> its edge
+    numbers: dict[tuple, int] = {}
     nodes: list[Formula | Term] = []
     kids: list[tuple] = []
     free: list[frozenset[int]] = []
     slots: dict[Var, int] = {}
     core = expand_abbreviations(f)
-    stack: list[tuple[Formula | Term, bool]] = [(core, False)]
-    while stack:
-        x, ready = stack.pop()
-        if x in edges:
-            continue
-        if not ready:
-            stack.append((x, True))
-            stack.extend([(y, False) for y in operands(x)])
-            continue
+    for x, xs in post_order(core):
+        ops = [edges[id(y)] for y in xs]
         if isinstance(x, Not):
-            i, negated = edges[x.body]
-            edges[x] = (i, not negated)
+            i, negated = ops[0]
+            edges[id(x)] = (i, not negated)
             continue
-        ops = [edges[y] for y in operands(x)]
-        fv = frozenset().union(*[free[i] for i, _ in ops])
-        if isinstance(x, Var):
-            slots[x] = len(slots)
-            fv = frozenset([slots[x]])
-        elif isinstance(x, Exists):
-            slot = slots[x.var]
-            fv -= {slot}
-            ops = [slot, ops[1]]  # the bound slot and the body's edge
-        elif isinstance(x, (App, Pred, Eq)):
-            ops = [i for i, _ in ops]  # terms are never negated
-        elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
-            raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
-        edges[x] = (len(nodes), False)
-        nodes.append(x)
-        kids.append(tuple(ops))
-        free.append(fv)
-    root, negated_root = edges[core]
+        key = (type(x), attributes(x), *ops)
+        i = numbers.get(key)
+        if i is None:
+            i = numbers[key] = len(nodes)
+            fv = frozenset().union(*[free[j] for j, _ in ops])
+            if isinstance(x, Var):
+                slots[x] = len(slots)
+                fv = frozenset([slots[x]])
+            elif isinstance(x, Exists):
+                slot = slots[x.var]
+                fv -= {slot}
+                ops = [slot, ops[1]]  # the bound slot and the body's edge
+            elif isinstance(x, (App, Pred, Eq)):
+                ops = [j for j, _ in ops]  # terms are never negated
+            elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
+                raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
+            nodes.append(x)
+            kids.append(tuple(ops))
+            free.append(fv)
+        edges[id(x)] = (i, False)
+    root, negated_root = edges[id(core)]
     checked = _valuation_check(g, [v for v, slot in slots.items() if slot in free[root]])
     kinds = [type(x) for x in nodes]
     # A node's key is its id, paired with the element indices in the slots
@@ -464,7 +455,9 @@ def check_all(
             missing = [k for k in care if vec[k] is None]
             if not missing:
                 return vec
-        args = [vector(a, env, missing) for a in kids[t]]
+        args = []  # a loop, not a comprehension: one frame per level of a deep term
+        for a in kids[t]:
+            args.append(vector(a, env, missing))
         name = nodes[t].func
         for k in missing:
             vec[k] = fun(name, states[k], tuple([a[k] for a in args]))

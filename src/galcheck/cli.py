@@ -8,9 +8,10 @@ Machine-readable output (JSON or CSV) goes to standard output or the -o
 file; diagnostics go to standard error.  Exit codes: 0 success (for
 `check`: every initial state satisfies the formula), 1 a `check` whose
 formula fails on some initial state, 2 usage/input errors (including an
-input file nested too deeply to read), 3 an internal cross-check
-disagreement in `eq`, 4 an internal failure (a defect, or a limit such as
-the recursion depth), reported on one line as `error: internal: ...`.
+input file nested too deeply to read, and a formula nested deeper than
+`logic.MAX_DEPTH` or too deep to parse), 3 an internal cross-check
+disagreement in `eq`, 4 an internal failure (a defect), reported on one
+line as `error: internal: ...`.
 """
 
 from __future__ import annotations

@@ -19,17 +19,24 @@ is a 0-ary predicate.  A free (valuation-bound) variable is written with a
 sort annotation `x:S`; later occurrences may omit it.  `#S:3` denotes the
 fourth element of sort S's domain enumeration; such literals are normally
 introduced only by substitution.
+
+Nodes store their hash and height when built, so neither recurses.
+`free_variables`, `expand_abbreviations` and `well_formed` walk without
+recursion, keyed by node id, and cache nothing between calls.  Expansion
+rejects a core formula deeper than MAX_DEPTH, which keeps what recurses
+after it (labelling, node equality, term evaluation, `pretty`) within
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from operator import attrgetter, is_not
 from typing import Iterable, Mapping, Union
 
-from .errors import ParseError, SortError, UnknownIdentifierError
+from .errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 
 # --------------------------------------------------------------------------- #
 # Signature
@@ -117,24 +124,65 @@ class Signature:
 # Terms and domain elements
 
 
+# A node's operands are its fields with these names, in field order: its
+# subformulas, its terms, and a quantifier's bound variable; `args` holds a
+# tuple of terms.  Its other fields are names, sorts and indices.  `_node`
+# records each class's operand fields; `operands` reads them and `rebuild`
+# writes them, and every walk that only goes into or rebuilds operands
+# goes through these two.
+_OPERAND_NAMES = ("left", "right", "body", "var", "args")
+_ARGS = ("args",)
+_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {}
+_HEIGHT = attrgetter("_height")
+
+
 def _node(cls):
-    """Freeze a syntax-node dataclass and cache its hash.
+    """Freeze a syntax-node dataclass that stores its hash and its height
+    when built: both combine what its operands stored, so neither walks
+    the tree.  A node without operands is one level high."""
 
-    Nodes are used as labeling keys, so they are hashed constantly; the
-    recursive dataclass hash would re-walk the subtree every time.
-    """
+    def __post_init__(self):
+        # Only C code runs here: the parser builds nodes at its deepest
+        # frames.  The fields are all that `__dict__` holds yet.
+        d = self.__dict__
+        d["_hash"] = hash(tuple(d.values()))
+        if in_args:
+            d["_height"] = 1 + max(map(_HEIGHT, d["args"]), default=0)
+        elif len(ops) == 1:
+            d["_height"] = 1 + heights(self)
+        elif ops:
+            d["_height"] = 1 + max(heights(self))
+
+    cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
-    plain_hash = cls.__hash__
-
-    def cached_hash(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = plain_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = cached_hash
+    ops = _OPERAND_FIELDS[cls] = tuple(f.name for f in fields(cls) if f.name in _OPERAND_NAMES)
+    in_args = ops == _ARGS
+    heights = attrgetter(*[f"{n}._height" for n in ops]) if ops else None
+    cls._height = 1
+    cls.__hash__ = lambda self: self._hash
+    cls.__eq__ = _equal
     return cls
+
+
+def _equal(a, b):
+    """Structural equality of two syntax nodes.  Stored hashes tell most
+    unequal nodes apart at once; it recurses one frame per level, so within
+    the labellers, which see at most MAX_DEPTH levels, it fits the limit."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    if a is b:
+        return True
+    xs, ys = operands(a), operands(b)
+    if a._hash != b._hash or len(xs) != len(ys):
+        return False
+    if not xs:  # only names, sorts and indices: no node to recurse into
+        return a.__dict__ == b.__dict__
+    if attributes(a) != attributes(b):
+        return False
+    for x, y in zip(xs, ys):
+        if x is not y and _equal(x, y) is not True:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -291,30 +339,10 @@ class FormulaMetrics:
 # --------------------------------------------------------------------------- #
 # Node shape
 
-# The fields of each syntax class that hold its operands, in order: its
-# subformulas, its terms, and a quantifier's bound variable.  `args` holds a
-# tuple of terms.  This table is the one place that spells out the shape of
-# a node; `operands` reads it and `rebuild` writes it, and every walk that
-# only recurses into or rebuilds operands goes through these two.
-_ARGS = ("args",)
-_OPERAND_FIELDS: dict[type, tuple[str, ...]] = {
-    Var: (),
-    DomainConst: (),
-    App: _ARGS,
-    Top: (),
-    Bottom: (),
-    PlayerAtom: (),
-    Pred: _ARGS,
-    Eq: ("left", "right"),
-    **dict.fromkeys((Not, EX, AX, EF, AF, EG, AG), ("body",)),
-    **dict.fromkeys((And, Or, Implies, EU, AU), ("left", "right")),
-    **dict.fromkeys((Exists, Forall), ("var", "body")),
-}
-
 
 def _reader(fields: tuple[str, ...]):
     """A function from a node to the tuple of its `fields` values."""
-    if fields is _ARGS:
+    if fields == _ARGS:
         return attrgetter("args")
     if len(fields) > 1:
         return attrgetter(*fields)
@@ -324,6 +352,11 @@ def _reader(fields: tuple[str, ...]):
 
 
 _READERS = {cls: _reader(fields) for cls, fields in _OPERAND_FIELDS.items()}
+# The other fields: names, sorts and indices, which `_equal` compares.
+_ATTRIBUTES = {
+    cls: _reader(tuple(f.name for f in fields(cls) if f.name not in ops))
+    for cls, ops in _OPERAND_FIELDS.items()
+}
 
 
 def operands(x: Formula | Term) -> tuple:
@@ -335,10 +368,16 @@ def operands(x: Formula | Term) -> tuple:
         raise TypeError(f"not a formula or term: {x!r}") from None
 
 
+def attributes(x: Formula | Term) -> tuple:
+    """The fields of a formula or term that are not operands: its names,
+    sorts and indices, in field order."""
+    return _ATTRIBUTES[type(x)](x)
+
+
 def rebuild(x: Formula | Term, new: Iterable) -> Formula | Term:
     """`x` with its operands replaced by `new`, given in `operands` order."""
     fields = _OPERAND_FIELDS[type(x)]
-    if fields is _ARGS:
+    if fields == _ARGS:
         return replace(x, args=tuple(new))
     return replace(x, **dict(zip(fields, new)))
 
@@ -347,25 +386,41 @@ def rebuild(x: Formula | Term, new: Iterable) -> Formula | Term:
 # Formula utilities
 
 
-# Only `checker.check` and `cli.cmd_check` use this; `check_all` takes free
-# variables from its own compile step.  The module-level cache and the
-# nodes' lazily cached hash stay as they are while the benchmark's
-# bimatrix-ne peak_rss_mb grows with the number of rounds that fit in a
-# run, because a faster `check` then reads as a memory regression.
-# Carrying free variables on the nodes instead of this cache took it from
-# 21.96 to 24.98 MB; routing `check` through `check_all`, from 22.78 to
-# 29.08 MB.  The bound is 10 %.
-@lru_cache(maxsize=None)
+def post_order(x: Formula | Term, into: type = object) -> list[tuple]:
+    """(node, operands) for each distinct node of `x` (by identity), every
+    node after its operands, found without recursion and without comparing
+    nodes.  Only `into` instances are visited: `post_order(f, Formula)`
+    skips the terms."""
+    seen, out = {id(x)}, []
+    ops = operands(x)
+    stack = [(x, ops, iter(ops))]
+    while stack:
+        y, ops, rest = stack[-1]
+        for z in rest:
+            if id(z) not in seen and isinstance(z, into):
+                seen.add(id(z))
+                zs = operands(z)
+                stack.append((z, zs, iter(zs)))
+                break
+        else:
+            stack.pop()
+            out.append((y, ops))
+    return out
+
+
+def free_variable_map(x: Formula | Term) -> dict[int, frozenset[Var]]:
+    """The free sorted variables of `x` and of each node in it, keyed by
+    the node's id, which stays valid while `x` is alive; quantifiers bind."""
+    free: dict[int, frozenset[Var]] = {}
+    for y, ops in post_order(x):
+        fv = frozenset((y,)) if isinstance(y, Var) else frozenset().union(*[free[id(z)] for z in ops])
+        free[id(y)] = fv - {y.var} if isinstance(y, (Exists, Forall)) else fv
+    return free
+
+
 def free_variables(x: Formula | Term) -> frozenset[Var]:
     """The free sorted variables of a formula or term; quantifiers bind."""
-    if isinstance(x, Var):
-        return frozenset((x,))
-    out: frozenset[Var] = frozenset()
-    for y in operands(x):
-        out |= free_variables(y)
-    if isinstance(x, (Exists, Forall)):
-        out -= {x.var}
-    return out
+    return free_variable_map(x)[id(x)]
 
 
 def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
@@ -403,21 +458,40 @@ _ABBREVIATIONS = {
 }
 
 
+# The deepest core formula `expand_abbreviations` accepts; a node without
+# operands is one level.  Labelling, node equality, term evaluation and
+# `pretty` take a frame per level: at this depth, under pytest, they need a
+# recursion limit of about 450 of the default 1000.  Every formula that
+# could be checked before this bound existed is at most about 330 deep.
+MAX_DEPTH = 400
+
+
 def expand_abbreviations(f: Formula) -> Formula:
-    """Rewrite to the core connectives.
+    """Rewrite to the core connectives, without recursion.
 
     Core: true, player atoms, predicates, equality, !, ->, AX, E[.U.],
     A[.U.], exists.  Everything else rewrites by the usual identities:
     false = !true, a & b = !(a -> !b), a | b = !a -> b, EX a = !AX !a,
     AF a = A[true U a], EF a = E[true U a], AG a = !E[true U !a],
     EG a = !A[true U !a], forall x a = !exists x !a.
+
+    Both labellers start here; a core formula deeper than MAX_DEPTH is
+    rejected with "formula is nested too deeply".
     """
-    ops = operands(f)
-    core = [expand_abbreviations(y) if isinstance(y, Formula) else y for y in ops]
-    rewrite = _ABBREVIATIONS.get(type(f))
-    if rewrite is not None:
-        return rewrite(*core)
-    return rebuild(f, core) if any(map(is_not, core, ops)) else f
+    core: dict[int, Formula] = {}  # id of a formula node -> its core form
+    for x, ops in post_order(f, Formula):
+        new = [core.get(id(y), y) for y in ops]  # a term is its own core form
+        rewrite = _ABBREVIATIONS.get(type(x))
+        if rewrite is not None:
+            y = rewrite(*new)
+        else:
+            y = rebuild(x, new) if any(map(is_not, new, ops)) else x
+        if y._height > MAX_DEPTH:
+            raise GalcheckError(
+                f"formula is nested too deeply (more than {MAX_DEPTH} levels once abbreviations are expanded)"
+            )
+        core[id(x)] = y
+    return core[id(f)]
 
 
 def metrics(f: Formula) -> FormulaMetrics:
@@ -435,36 +509,33 @@ def metrics(f: Formula) -> FormulaMetrics:
     return FormulaMetrics(modal, quant)
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 def well_formed(f: Formula, sig: Signature) -> None:
     """Raise if `f` uses undeclared identifiers, breaks a profile, or
     rebinds a variable along one quantifier path.
 
     This is where arities and sorts are checked; the parser leaves them to
-    it.
+    it.  Each node is checked after its operands, without recursion.
     """
-
-    def go(x: Formula | Term, scope: frozenset[str]) -> str | None:
-        """Check `x`; its sort if it is a term, None if it is a formula."""
+    sorts: dict[int, str | None] = {}  # id of a node -> its sort if a term, None if a formula
+    binds: dict[int, frozenset[str]] = {}  # id of a formula -> the names its quantifiers bind
+    for x, ops in post_order(f):
+        got = [sorts[id(y)] for y in ops]
         if isinstance(x, Var):
             if x.sort not in sig.sorts:
                 raise SortError(f"variable {x.name!r} has undeclared sort {x.sort!r}")
-            return x.sort
+            sorts[id(x)] = x.sort
+            continue
         if isinstance(x, DomainConst):
             if x.sort not in sig.sorts:
                 raise UnknownIdentifierError(f"unknown sort {x.sort!r}")
             if x.index < 0:
                 raise SortError(f"negative domain index in #{x.sort}:{x.index}")
-            return x.sort
-        binder = isinstance(x, (Exists, Forall))
-        if binder:
-            if x.var.name in scope:
-                raise SortError(f"variable {x.var.name!r} bound twice on one quantifier path")
-            if x.var.sort not in sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {x.var.sort!r}")
-            scope = scope | {x.var.name}
-        sorts = []
-        for y in operands(x):
-            sorts.append(go(y, scope))
+            sorts[id(x)] = x.sort
+            continue
+        names = _NO_NAMES
         if isinstance(x, (App, Pred)):
             kind, name, decls = (
                 ("function", x.func, sig.functions) if isinstance(x, App)
@@ -473,23 +544,31 @@ def well_formed(f: Formula, sig: Signature) -> None:
             decl = decls.get(name)
             if decl is None:
                 raise UnknownIdentifierError(f"unknown {kind} {name!r}")
-            if len(sorts) != len(decl.args):
-                raise SortError(f"{kind} {name!r} expects {len(decl.args)} arguments, got {len(sorts)}")
-            for got, want in zip(sorts, decl.args):
-                if got != want:
-                    raise SortError(f"argument of {name!r} has sort {got!r}, expected {want!r}")
-            return decl.result if isinstance(x, App) else None
-        if isinstance(x, Eq):
-            if sorts[0] is None or sorts[0] != sorts[1]:
-                raise SortError(f"equality between sorts {sorts[0]!r} and {sorts[1]!r}")
+            if len(got) != len(decl.args):
+                raise SortError(f"{kind} {name!r} expects {len(decl.args)} arguments, got {len(got)}")
+            for have, want in zip(got, decl.args):
+                if have != want:
+                    raise SortError(f"argument of {name!r} has sort {have!r}, expected {want!r}")
+            if isinstance(x, App):
+                sorts[id(x)] = decl.result
+                continue
+        elif isinstance(x, Eq):
+            if got[0] is None or got[0] != got[1]:
+                raise SortError(f"equality between sorts {got[0]!r} and {got[1]!r}")
         elif isinstance(x, PlayerAtom):
             if x.player not in sig.players:
                 raise UnknownIdentifierError(f"unknown player {x.player!r}")
-        elif any(sorts[1:] if binder else sorts):
+        elif any(got[1:] if isinstance(x, (Exists, Forall)) else got):
             raise TypeError(f"a term in formula position: {x!r}")
-        return None
-
-    if go(f, frozenset()) is not None:
+        elif isinstance(x, (Exists, Forall)):
+            names = binds[id(x.body)]
+            if x.var.name in names:
+                raise SortError(f"variable {x.var.name!r} bound twice on one quantifier path")
+            names = names | {x.var.name}
+        elif ops:
+            names = frozenset().union(*[binds[id(y)] for y in ops])
+        sorts[id(x)], binds[id(x)] = None, names
+    if sorts[id(f)] is not None:
         raise TypeError(f"not a formula: {f!r}")
 
 
@@ -512,48 +591,48 @@ def _pretty_term(t: Term, bound: frozenset[str]) -> str:
         return f"#{t.sort}:{t.index}"
     if not t.args:
         return t.func
-    return f"{t.func}({', '.join(_pretty_term(a, bound) for a in t.args)})"
+    # map, not a comprehension: one frame per level of a deep term
+    return f"{t.func}({', '.join(map(_pretty_term, t.args, repeat(bound)))})"
 
 
 def pretty(f: Formula) -> str:
     """Surface syntax for a formula; reparses to a structurally equal tree."""
 
     def go(g: Formula, min_level: int, bound: frozenset[str]) -> str:
-        text, level = render(g, bound)
-        return f"({text})" if level < min_level else text
-
-    def render(g: Formula, bound: frozenset[str]) -> tuple[str, int]:
+        """`g`, in parentheses if it binds more loosely than `min_level`."""
         if isinstance(g, Top):
-            return "true", _LVL_ATOM
-        if isinstance(g, Bottom):
-            return "false", _LVL_ATOM
-        if isinstance(g, PlayerAtom):
-            return f"@{g.player}", _LVL_ATOM
-        if isinstance(g, Pred):
-            if not g.args:
-                return g.name, _LVL_ATOM
-            return f"{g.name}({', '.join(_pretty_term(a, bound) for a in g.args)})", _LVL_ATOM
-        if isinstance(g, Eq):
-            return f"{_pretty_term(g.left, bound)} = {_pretty_term(g.right, bound)}", _LVL_ATOM
-        if isinstance(g, Not):
-            return f"!{go(g.body, _LVL_NOT, bound)}", _LVL_NOT
-        if isinstance(g, And):
-            return f"{go(g.left, _LVL_AND, bound)} & {go(g.right, _LVL_AND + 1, bound)}", _LVL_AND
-        if isinstance(g, Or):
-            return f"{go(g.left, _LVL_OR, bound)} | {go(g.right, _LVL_OR + 1, bound)}", _LVL_OR
-        if isinstance(g, Implies):
-            return f"{go(g.left, _LVL_IMPLIES + 1, bound)} -> {go(g.right, _LVL_IMPLIES, bound)}", _LVL_IMPLIES
-        if isinstance(g, (EX, AX, EF, AF, EG, AG)):
-            return f"{_MODALITY_WORD[type(g)]} {go(g.body, 0, bound)}", 0
-        if isinstance(g, EU):
-            return f"E[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
-        if isinstance(g, AU):
-            return f"A[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
-        if isinstance(g, Exists):
-            return f"exists {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
-        if isinstance(g, Forall):
-            return f"forall {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
-        raise TypeError(f"not a formula: {g!r}")
+            text, level = "true", _LVL_ATOM
+        elif isinstance(g, Bottom):
+            text, level = "false", _LVL_ATOM
+        elif isinstance(g, PlayerAtom):
+            text, level = f"@{g.player}", _LVL_ATOM
+        elif isinstance(g, Pred):
+            args = ", ".join(_pretty_term(a, bound) for a in g.args)
+            text, level = (f"{g.name}({args})" if g.args else g.name), _LVL_ATOM
+        elif isinstance(g, Eq):
+            text, level = f"{_pretty_term(g.left, bound)} = {_pretty_term(g.right, bound)}", _LVL_ATOM
+        elif isinstance(g, Not):
+            text, level = f"!{go(g.body, _LVL_NOT, bound)}", _LVL_NOT
+        elif isinstance(g, And):
+            text, level = f"{go(g.left, _LVL_AND, bound)} & {go(g.right, _LVL_AND + 1, bound)}", _LVL_AND
+        elif isinstance(g, Or):
+            text, level = f"{go(g.left, _LVL_OR, bound)} | {go(g.right, _LVL_OR + 1, bound)}", _LVL_OR
+        elif isinstance(g, Implies):
+            left, right = go(g.left, _LVL_IMPLIES + 1, bound), go(g.right, _LVL_IMPLIES, bound)
+            text, level = f"{left} -> {right}", _LVL_IMPLIES
+        elif isinstance(g, (EX, AX, EF, AF, EG, AG)):
+            text, level = f"{_MODALITY_WORD[type(g)]} {go(g.body, 0, bound)}", 0
+        elif isinstance(g, EU):
+            text, level = f"E[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
+        elif isinstance(g, AU):
+            text, level = f"A[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
+        elif isinstance(g, Exists):
+            text, level = f"exists {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
+        elif isinstance(g, Forall):
+            text, level = f"forall {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        return f"({text})" if level < min_level else text
 
     return go(f, 0, frozenset())
 
@@ -804,12 +883,13 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     UnknownIdentifierError.  Free variables must carry a sort annotation on
     first use; binders that would shadow an enclosing binder are renamed.
     The parser resolves names; `well_formed` checks arities and sorts on
-    the finished tree.
+    the finished tree.  The parser recurses, and input that nests too deep
+    for it is a ParseError, "formula is nested too deeply".
     """
     parser = _Parser(text, sig)
     try:
         f = parser.parse()
-        well_formed(f, sig)
     except RecursionError:
         raise ParseError("formula is nested too deeply", parser.peek().pos) from None
+    well_formed(f, sig)
     return f

@@ -238,7 +238,8 @@ def eval_term(g: GalStructure, e: str, t: Term, v: Valuation | None = None) -> D
                 )
             return dom[t.index]
         assert isinstance(t, App)
-        args = tuple(go(a) for a in t.args)
+        # map, not a comprehension: one frame per level of a deep term
+        args = tuple(map(go, t.args))
         return g.interp.fun(t.func, e, args)
 
     return go(t)

@@ -281,7 +281,6 @@ def dump_structure(g: GalStructure) -> bytes:
     domains, so a partial provider surfaces as an interpretation failure
     here rather than as a silently incomplete file.
     """
-    any_state = g.states[0]
     doc: dict[str, Any] = {
         "sorts": {s: [e.label for e in g.domains[s]] for s in sorted(g.domains)},
         "players": sorted(g.sig.players),
@@ -293,7 +292,6 @@ def dump_structure(g: GalStructure) -> bytes:
             name: {"args": list(d.args)} for name, d in sorted(g.sig.predicates.items())
         },
         "states": [],
-        "rigid": {"funcs": {}, "preds": {}},
         "actions": sorted([list(pair) for pair in g.actions]),
         "initial": sorted(g.initial),
     }
@@ -301,47 +299,34 @@ def dump_structure(g: GalStructure) -> bytes:
     def arg_tuples(arg_sorts: tuple[str, ...]):
         return product(*(g.domains[s] for s in arg_sorts))
 
-    for name, d in sorted(g.sig.functions.items()):
-        if not d.rigid:
-            continue
-        table = {}
-        for args in arg_tuples(d.args):
-            key = ",".join(a.label for a in args)
-            table[key] = g.interp.fun(name, any_state, args).label
-        doc["rigid"]["funcs"][name] = table
-    for name, d in sorted(g.sig.predicates.items()):
-        if not d.rigid:
-            continue
-        rows = sorted(
-            [a.label for a in args]
-            for args in arg_tuples(d.args)
-            if g.interp.pred(name, any_state, args)
-        )
-        if rows:
-            doc["rigid"]["preds"][name] = rows
-
-    for sid in sorted(g.states):
-        entry: dict[str, Any] = {"id": sid, "players": sorted(g.players_at.get(sid, ()))}
-        funcs = {}
-        for name, d in sorted(g.sig.functions.items()):
-            if d.rigid:
-                continue
-            table = {}
-            for args in arg_tuples(d.args):
-                key = ",".join(a.label for a in args)
-                table[key] = g.interp.fun(name, sid, args).label
-            funcs[name] = table
+    def tables(state: str, rigid: bool) -> tuple[dict, dict]:
+        """The function tables and the nonempty predicate row lists, at
+        `state`, of the symbols whose rigidity is `rigid`."""
+        funcs = {
+            name: {
+                ",".join(a.label for a in args): g.interp.fun(name, state, args).label
+                for args in arg_tuples(d.args)
+            }
+            for name, d in sorted(g.sig.functions.items())
+            if d.rigid == rigid
+        }
         preds = {}
         for name, d in sorted(g.sig.predicates.items()):
-            if d.rigid:
-                continue
-            rows = sorted(
-                [a.label for a in args]
-                for args in arg_tuples(d.args)
-                if g.interp.pred(name, sid, args)
-            )
-            if rows:
-                preds[name] = rows
+            if d.rigid == rigid:
+                rows = sorted(
+                    [a.label for a in args]
+                    for args in arg_tuples(d.args)
+                    if g.interp.pred(name, state, args)
+                )
+                if rows:
+                    preds[name] = rows
+        return funcs, preds
+
+    funcs, preds = tables(g.states[0], True)
+    doc["rigid"] = {"funcs": funcs, "preds": preds}
+    for sid in sorted(g.states):
+        entry: dict[str, Any] = {"id": sid, "players": sorted(g.players_at.get(sid, ()))}
+        funcs, preds = tables(sid, False)
         if funcs:
             entry["funcs"] = funcs
         if preds:

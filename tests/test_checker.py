@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -15,7 +17,7 @@ from galcheck.checker import (
     verify_player,
     verify_predicate,
 )
-from galcheck.errors import BindingError, InterpretationError, ValidationError
+from galcheck.errors import BindingError, GalcheckError, InterpretationError, ValidationError
 from galcheck.extensive import (
     EquilibriumConcept,
     enumerate_equilibria,
@@ -30,12 +32,14 @@ from galcheck.logic import (
     AU,
     AX,
     EU,
+    And,
     App,
     Bottom,
     DomainConst,
     Eq,
     Exists,
     Implies,
+    MAX_DEPTH,
     Not,
     PlayerAtom,
     Pred,
@@ -464,10 +468,14 @@ def test_check_all_matches_check_on_random_formulas():
         _assert_same_as_check(g, f, _all_valuations(g, free))
 
 
-def _nots(f, k):
+def _chain(make, k, f):
     for _ in range(k):
-        f = Not(f)
+        f = make(f)
     return f
+
+
+def _nots(f, k):
+    return _chain(Not, k, f)
 
 
 def test_check_all_not_chains_match_check():
@@ -495,15 +503,24 @@ def test_check_all_not_chains_match_check():
                     assert got.states == check(g, f, v).states & set(at), (f, v)
 
 
-def test_check_all_stays_out_of_the_free_variables_cache(example_structure, example_game):
-    valuations = [profile_valuation(example_structure, example_game, s) for s in profiles(example_game)]
-    for concept in EquilibriumConcept:
-        f = spe_formula(example_game) if concept is EquilibriumConcept.SPE else ne_formula(example_game)
-        before = free_variables.cache_info()
-        check_all(example_structure, f, valuations)
-        check_all(example_structure, f, valuations, at=["()"])
-        enumerate_equilibria(example_game, concept)
-        assert free_variables.cache_info() == before, concept
+def test_checked_formulas_are_not_kept_alive(example_structure):
+    # No memo outlives a call: once the caller drops a formula, nothing in
+    # the package holds it.  Each call gets a formula built for it alone.
+    g = example_structure
+    calls = (
+        lambda f: check(g, f),
+        lambda f: check(g, f, {}),
+        lambda f: check_all(g, f, [{}, {}]),
+        lambda f: check_all(g, f, [{}], at=["()"]),
+        lambda f: holds_at(g, "()", f),
+    )
+    for k, call in enumerate(calls):
+        f = Implies(PlayerAtom("2"), _nots(EU(Top(), PlayerAtom("1")), 40 + k))
+        ref = weakref.ref(f)
+        call(f)
+        del f
+        gc.collect()
+        assert ref() is None, k
 
 
 def test_check_all_at_restricts_to_the_focus_states():
@@ -558,6 +575,30 @@ def test_check_all_equilibria_match_holds_at_and_oracle():
             found = enumerate_equilibria(game, concept)
             assert found == [s for s, sat in zip(candidates, sats) if root in sat.states]
             assert found == oracle_equilibria(game, concept)
+
+
+def test_formulas_at_the_depth_bound_answer_and_deeper_ones_are_rejected(example_structure):
+    g = example_structure
+    atom = PlayerAtom("1")
+    one, rest = frozenset(["()"]), frozenset(g.states) - {"()"}
+    for n in (MAX_DEPTH - 2, MAX_DEPTH - 1):  # the deeper one is MAX_DEPTH levels
+        f = _nots(atom, n)
+        assert check(g, f).states == check_all(g, f, [{}])[0].states == (one if n % 2 == 0 else rest)
+    # two equal but distinct chains, compared and interned without recursion
+    k = MAX_DEPTH - 4  # a & b = !(a -> !b): three levels more
+    f = And(_nots(atom, k), _nots(atom, k))
+    assert check(g, f).states == check_all(g, f, [{}])[0].states == (one if k % 2 == 0 else rest)
+    deep = (
+        _nots(atom, 5000),
+        _chain(AX, 5000, atom),
+        _chain(lambda f: Implies(atom, f), 5000, atom),
+        _chain(lambda f: Exists(Var(f"y{id(f)}", "S1"), f), 5000, atom),
+    )
+    for f in deep:
+        with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+            check(g, f)
+        with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+            check_all(g, f, [{}], at=["()"])
 
 
 def test_check_all_raises_what_check_raises(example_structure):

@@ -97,6 +97,74 @@ def test_check_parse_error_exit2(example_structure_path, capsys):
     assert code == 2 and "error" in err
 
 
+# Formulas nested n deep, one function per shape.
+_NESTINGS = {
+    "and": lambda n: " & ".join(["@1"] * n),
+    "or": lambda n: " | ".join(["@1"] * n),
+    "implies": lambda n: " -> ".join(["@1"] * n),
+    "not": lambda n: "!" * n + "@1",
+    "EX": lambda n: "EX " * n + "@1",
+    "AG": lambda n: "AG " * n + "@1",
+    "forall": lambda n: "forall x:S1 . " * n + "@1",
+    "paren": lambda n: "(" * n + "@1" + ")" * n,
+}
+# The deepest n of the sweep below that was checked before the depth bound
+# existed; deeper ones exited 4 with a RecursionError or 2 from the parser.
+_ANSWERED_BEFORE = {
+    "and": 165, "or": 165, "implies": 330, "not": 330, "EX": 100, "AG": 100, "forall": 100, "paren": 165,
+}
+
+
+def _collapsed(shape: str, n: int) -> str:
+    """A short formula with the same answer as nesting `shape` n deep on the
+    worked example, where only the root has player 1 and no action leads
+    back to it."""
+    if shape == "implies":
+        return "@1" if n == 1 else "true"
+    if shape == "not":
+        return "@1" if n % 2 == 0 else "!@1"
+    if shape in ("EX", "AG"):
+        return f"{shape} @1"
+    return "@1"
+
+
+def test_check_nesting_sweep_answers_or_exits_2(example_structure_path, capsys):
+    model = str(example_structure_path)
+    for shape, nest in _NESTINGS.items():
+        for n in (1, 10, 100, 165, 200, 330, 500, 1000, 5000):
+            code, out, err = run_cli(capsys, "check", "--model", model, "--formula", nest(n))
+            assert code in (0, 1, 2), (shape, n, err)
+            if code == 2:
+                assert "nested too deeply" in err and n > _ANSWERED_BEFORE[shape], (shape, n, err)
+                continue
+            _, want, _ = run_cli(capsys, "check", "--model", model, "--formula", _collapsed(shape, n))
+            got, want = json.loads(out), json.loads(want)
+            assert (got["sat"], got["initial_sat"]) == (want["sat"], want["initial_sat"]), (shape, n)
+
+
+def test_check_parser_nesting_limit_on_both_sides(example_structure_path, capsys):
+    # The parser recurses and rejects what nests too deep for it as a parse
+    # error; well below that limit, the same nestings are checked.
+    model = str(example_structure_path)
+    for nest in (_NESTINGS["not"], _NESTINGS["EX"], _NESTINGS["paren"]):
+        code, _, err = run_cli(capsys, "check", "--model", model, "--formula", nest(100))
+        assert code in (0, 1), err
+        code, out, err = run_cli(capsys, "check", "--model", model, "--formula", nest(5000))
+        assert code == 2 and out == ""
+        assert err.startswith("error: at position ") and "formula is nested too deeply" in err
+
+
+def test_check_too_deep_formula_subprocess(example_structure_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "galcheck", "check", "--model", str(example_structure_path),
+         "--formula", _NESTINGS["not"](5000)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: at position ") and "formula is nested too deeply" in proc.stderr
+
+
 # --------------------------------------------------------------------------- #
 # eq
 

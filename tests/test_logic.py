@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from galcheck.errors import ParseError, SortError, UnknownIdentifierError
+from galcheck.errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 from galcheck.logic import (
     AF,
     AG,
@@ -23,6 +23,7 @@ from galcheck.logic import (
     FormulaMetrics,
     FuncDecl,
     Implies,
+    MAX_DEPTH,
     Not,
     Or,
     PlayerAtom,
@@ -32,6 +33,7 @@ from galcheck.logic import (
     Top,
     Var,
     expand_abbreviations,
+    free_variable_map,
     free_variables,
     metrics,
     parse_formula,
@@ -223,6 +225,68 @@ def test_expand_idempotent_on_random_formulas():
         assert expand_abbreviations(once) == once
 
 
+def _chain(make, n, leaf):
+    for _ in range(n):
+        leaf = make(leaf)
+    return leaf
+
+
+def test_expand_rejects_core_deeper_than_the_bound():
+    # an atom, a variable or a literal is one level; each operator or
+    # application above it is one more, counted after expansion
+    assert expand_abbreviations(_chain(Not, MAX_DEPTH - 1, Top()))
+    with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+        expand_abbreviations(_chain(Not, MAX_DEPTH, Top()))
+    k = (MAX_DEPTH - 1) // 3  # EX a = !AX !a: three levels each
+    assert expand_abbreviations(_chain(EX, k, Top()))
+    with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+        expand_abbreviations(_chain(EX, k + 1, Top()))
+    term = _chain(lambda t: App("g", (t,)), MAX_DEPTH - 2, Var("x", "S"))
+    assert expand_abbreviations(Pred("p", (term,)))
+    with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+        expand_abbreviations(Pred("p", (App("g", (term,)),)))
+
+
+def test_deep_formulas_hash_and_walk_without_recursion(sig):
+    x = Var("x", "S")
+    for make in (Not, EX, AG, lambda f: And(f, Pred("winX")), lambda f: Implies(Pred("winX"), f)):
+        f, same = (_chain(make, 5000, Pred("p", (x,))) for _ in range(2))
+        other = _chain(make, 5000, Pred("p", (App("a"),)))
+        assert f is not same and hash(f) == hash(same)
+        assert f != other  # told apart by the stored hashes
+        well_formed(f, sig)
+        assert free_variables(f) == {x} and free_variables(other) == frozenset()
+        with pytest.raises(GalcheckError, match="formula is nested too deeply"):
+            expand_abbreviations(f)
+    binders = Pred("p", (x,))
+    for k in range(5000):
+        binders = Forall(Var(f"y{k}", "S"), binders)
+    assert free_variables(binders) == {x}
+    well_formed(binders, sig)
+
+
+def test_free_variable_map_covers_every_node(sig):
+    x, y = Var("x", "S"), Var("y", "S")
+    body = Pred("ge", (x, y))
+    f = Exists(y, body)
+    free = free_variable_map(f)
+    assert free[id(f)] == {x} and free[id(body)] == {x, y} and free[id(y)] == {y}
+
+
+def test_equal_but_distinct_formulas_compare_at_the_depth_bound():
+    # equality recurses once per level; the labellers see at most MAX_DEPTH
+    f, same = (_chain(Not, MAX_DEPTH - 1, Pred("p", (Var("x", "S"),))) for _ in range(2))
+    assert f is not same and f == same
+
+
+def test_nodes_compare_by_class_and_fields():
+    assert Top() != Bottom() and hash(Top()) == hash(Bottom())
+    assert Var("x", "S") != Var("x", "S2") and Var("x", "S") == Var("x", "S")
+    assert App("g", (App("a"),)) != App("g", (App("b"),))
+    assert Pred("p", ()) != Pred("p", (App("a"),))
+    assert Not(Top()) != EX(Top()) and Not(Top()) != "!true"
+
+
 # --------------------------------------------------------------------------- #
 # Free variables and substitution
 
@@ -380,6 +444,10 @@ def test_well_formed_checks_arity_and_sorts_of_built_trees(sig):
         well_formed(Eq(App("a"), App("h")), sig)
     with pytest.raises(TypeError):
         well_formed(Not(Var("x", "S")), sig)
+    x, body = Var("x", "S"), Pred("p", (Var("x", "S"),))
+    with pytest.raises(SortError, match="'x' bound twice on one quantifier path"):
+        well_formed(Exists(x, Not(Forall(x, body))), sig)
+    well_formed(And(Exists(x, body), Forall(x, body)), sig)  # siblings may reuse a name
 
 
 def test_parse_reports_the_sort_errors_of_well_formed(sig):
