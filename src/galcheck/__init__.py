@@ -1,7 +1,7 @@
 """Explicit-state checking of first-order branching-time properties over
 game structures, with an extensive-game frontend and equilibrium search."""
 
-from .checker import LabelStore, SatSet, check, check_all, holds_at
+from .checker import SatSet, check, check_all, holds_at
 from .errors import (
     BindingError,
     GalcheckError,

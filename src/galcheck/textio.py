@@ -242,36 +242,43 @@ def _split_argskey(
     """Split a comma-joined argument key into element labels.
 
     Labels may themselves contain commas, so the split is resolved against
-    the domains; a key that parses zero or several ways is rejected.
+    the domains; a key that parses zero or several ways is rejected.  The
+    parse runs left to right without recursion: after each argument, every
+    key offset reached so far, with its number of parses (capped at 2) and
+    the offset and label it was first reached from.  An offset is kept only
+    if the rest of the key is long enough for the remaining arguments.
     """
     if not arg_sorts:
         if key != "":
             raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
         return ()
-    results: list[tuple[str, ...]] = []
-
-    def match(pos: int, i: int, acc: tuple[str, ...]) -> None:
-        if len(results) > 1:
-            return
-        if i == len(arg_sorts):
-            if pos == len(key):
-                results.append(acc)
-            return
-        last = i == len(arg_sorts) - 1
-        for label in domains[arg_sorts[i]]:
-            end = pos + len(label)
-            if key.startswith(label, pos):
-                if last:
-                    match(end, i + 1, acc + (label,))
-                elif key.startswith(",", end):
-                    match(end + 1, i + 1, acc + (label,))
-
-    match(0, 0, ())
-    if not results:
+    n = len(arg_sorts)
+    need = [0] * (n + 1)  # the length of the shortest text of arguments i..
+    for i in reversed(range(n)):
+        need[i] = need[i + 1] + min(map(len, domains[arg_sorts[i]]), default=0) + (i < n - 1)
+    steps: list[dict[int, list]] = [{0: [1, 0, ""]}]  # offset -> [parses, from, label]
+    for i, sort in enumerate(arg_sorts):
+        last = i == n - 1
+        reached: dict[int, list] = {}
+        for pos, (count, _, _) in steps[-1].items():
+            for label in domains[sort]:
+                end = pos + len(label)
+                if key.startswith(label, pos) and (last or key.startswith(",", end)):
+                    end += not last
+                    if len(key) - end >= need[i + 1]:
+                        entry = reached.setdefault(end, [0, pos, label])
+                        entry[0] = min(2, entry[0] + count)
+        steps.append(reached)
+    count = steps[-1].get(len(key), [0])[0]
+    if not count:
         raise SchemaError(f"argument key {key!r} does not match the declared sorts", path)
-    if len(results) > 1:
+    if count > 1:
         raise SchemaError(f"argument key {key!r} is ambiguous", path)
-    return results[0]
+    labels, pos = [], len(key)
+    for reached in reversed(steps[1:]):
+        _, pos, label = reached[pos]
+        labels.append(label)
+    return tuple(reversed(labels))
 
 
 def dump_structure(g: GalStructure) -> bytes:

@@ -41,6 +41,25 @@ from galcheck.logic import (
 from galcheck.structure import GalStructure, table_provider
 
 # --------------------------------------------------------------------------- #
+# Structure files
+
+
+def wide_function_doc(labels: list[str], n: int, key: str) -> dict:
+    """A one-state structure file whose rigid function `f` takes n
+    arguments of sort S (domain `labels`), with the single entry `key`."""
+    return {
+        "sorts": {"S": labels},
+        "players": [],
+        "functions": {"f": {"args": ["S"] * n, "result": "S", "rigid": True}},
+        "predicates": {},
+        "states": [{"id": "e0", "players": []}],
+        "rigid": {"funcs": {"f": {key: labels[0]}}, "preds": {}},
+        "actions": [["e0", "e0"]],
+        "initial": ["e0"],
+    }
+
+
+# --------------------------------------------------------------------------- #
 # Random structures
 
 
@@ -251,14 +270,22 @@ def abbreviation_pairs(a, b, x: Var):
     ]
 
 
+def labellers():
+    """Both labellers, each as `sat(g, f)`, the satisfying states of a
+    closed formula: `check` and `check_all` with one valuation."""
+    from galcheck.checker import check, check_all
+
+    return (
+        lambda g, f: check(g, f).states,
+        lambda g, f: check_all(g, f, [{}])[0].states,
+    )
+
+
 def run_identity_suite(structures, formulas_per_structure, rng):
     """Abbreviation identities, dualities, and quantifier extensionality as
-    satisfaction-set equalities, on random formula instantiations."""
-    from galcheck.checker import check
+    satisfaction-set equalities, on random formula instantiations, for
+    each labeller."""
     from galcheck.logic import substitute
-
-    def sat(g, f):
-        return check(g, f).states
 
     for g in structures:
         for _ in range(formulas_per_structure):
@@ -267,44 +294,41 @@ def run_identity_suite(structures, formulas_per_structure, rng):
             sort = rng.choice(sorted(g.domains))
             x = Var("qx", sort)
             a_open = Or(a, Pred("pr", (x,))) if sort == g.sig.functions["c"].result else a
-            for lhs, rhs in abbreviation_pairs(a, b, x):
-                assert sat(g, lhs) == sat(g, rhs), f"{lhs} vs {rhs}"
-            universe = set(g.states)
-            assert sat(g, EX(a)) == universe - sat(g, AX(Not(a)))
-            assert sat(g, EG(a)) == universe - sat(g, AU(Top(), Not(a)))
-            assert sat(g, AG(a)) == universe - sat(g, EU(Top(), Not(a)))
-            exists_f = Exists(x, a_open)
-            forall_f = Forall(x, a_open)
-            union = set()
-            inter = universe
-            for d in g.domains[sort]:
-                inst = sat(g, substitute(a_open, x, d))
-                union |= inst
-                inter &= inst
-            assert sat(g, exists_f) == union
-            assert sat(g, forall_f) == inter
+            for sat in labellers():
+                for lhs, rhs in abbreviation_pairs(a, b, x):
+                    assert sat(g, lhs) == sat(g, rhs), f"{lhs} vs {rhs}"
+                universe = set(g.states)
+                assert sat(g, EX(a)) == universe - sat(g, AX(Not(a)))
+                assert sat(g, EG(a)) == universe - sat(g, AU(Top(), Not(a)))
+                assert sat(g, AG(a)) == universe - sat(g, EU(Top(), Not(a)))
+                exists_f = Exists(x, a_open)
+                forall_f = Forall(x, a_open)
+                union = set()
+                inter = universe
+                for d in g.domains[sort]:
+                    inst = sat(g, substitute(a_open, x, d))
+                    union |= inst
+                    inter &= inst
+                assert sat(g, exists_f) == union
+                assert sat(g, forall_f) == inter
 
 
 def run_path_oracle_suite(structures, formulas_per_structure, rng):
     """Fixpoint EU/AU/AX satisfaction sets versus direct enumeration of all
-    maximal paths with lasso folding."""
-    from galcheck.checker import check
-
-    def sat(g, f):
-        return check(g, f).states
-
+    maximal paths with lasso folding, for each labeller."""
     for g in structures:
         for _ in range(formulas_per_structure):
             a = random_formula(rng, g, depth=1)
             b = random_formula(rng, g, depth=1)
-            alpha, beta = sat(g, a), sat(g, b)
-            got_eu = sat(g, EU(a, b))
-            got_au = sat(g, AU(a, b))
-            got_ax = sat(g, AX(a))
-            for e in g.states:
-                assert (e in got_eu) == oracle_eu(g, alpha, beta, e)
-                assert (e in got_au) == oracle_au(g, alpha, beta, e)
-                assert (e in got_ax) == oracle_ax(g, alpha, e)
+            for sat in labellers():
+                alpha, beta = sat(g, a), sat(g, b)
+                got_eu = sat(g, EU(a, b))
+                got_au = sat(g, AU(a, b))
+                got_ax = sat(g, AX(a))
+                for e in g.states:
+                    assert (e in got_eu) == oracle_eu(g, alpha, beta, e)
+                    assert (e in got_au) == oracle_au(g, alpha, beta, e)
+                    assert (e in got_ax) == oracle_ax(g, alpha, e)
 
 
 # --------------------------------------------------------------------------- #

@@ -537,6 +537,9 @@ def test_check_all_at_restricts_to_the_focus_states():
             assert part.states == whole.states & set(focus), (f, v, focus)
             assert part.valuation == whole.valuation
             assert part.stats.subformulas <= whole.stats.subformulas
+            alone = check(g, f, v).states
+            for e in focus:
+                assert holds_at(g, e, f, v) == (e in alone), (f, v, e)
 
 
 def test_check_all_at_rejects_unknown_state(example_structure):

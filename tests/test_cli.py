@@ -5,6 +5,8 @@ import sys
 from galcheck.cli import main
 from galcheck.textio import load_bimatrix, load_structure
 
+from _helpers import wide_function_doc
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -163,6 +165,27 @@ def test_check_too_deep_formula_subprocess(example_structure_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: at position ") and "formula is nested too deeply" in proc.stderr
+
+
+def test_check_missing_table_entry_names_the_state(example_structure_path, tmp_path, capsys):
+    doc = json.loads(example_structure_path.read_text())
+    for state in doc["states"]:
+        if state["id"] == "(A,L)":
+            del state["funcs"]["h"]
+    model = tmp_path / "partial.json"
+    model.write_text(json.dumps(doc))
+    # () -> (A) -> (A,L): the formula evaluates h two steps from the root
+    code, out, err = run_cli(capsys, "check", "--model", str(model), "--formula", "AX AX h = h")
+    assert code == 2 and out == ""
+    assert err == "error: no table entry for function 'h' at state '(A,L)' on ()\n"
+
+
+def test_check_wide_function_table(tmp_path, capsys):
+    # a 5000-argument key is split without recursion, so this is no internal failure
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(wide_function_doc(["a", "b,c"], 5000, ",".join(["a", "b,c"] * 2500))))
+    code, out, _ = run_cli(capsys, "check", "--model", str(model), "--formula", "true")
+    assert code == 0 and json.loads(out)["initial_sat"] == ["e0"]
 
 
 # --------------------------------------------------------------------------- #
@@ -348,10 +371,10 @@ def test_bench_constant_bound_zero_gives_square_counts(tmp_path, capsys):
 def test_internal_failure_exit4_without_traceback(example_structure_path, capsys, monkeypatch):
     import galcheck.cli as cli_mod
 
-    def broken_check(*args, **kwargs):
+    def broken_check_all(*args, **kwargs):
         raise RuntimeError("labeler broke")
 
-    monkeypatch.setattr(cli_mod, "check", broken_check)
+    monkeypatch.setattr(cli_mod, "check_all", broken_check_all)
     code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
     assert code == 4
     assert out == ""

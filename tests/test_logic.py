@@ -334,6 +334,20 @@ def test_substitute_noop_when_not_free():
         assert substitute(f, x, g.domains[sort][0]) == f
 
 
+def test_substitute_deep_chain_without_recursion():
+    x, d = Var("x", "S"), DomainElem("S", "a", 0)
+    atom = Pred("p", (x,))
+    f = _chain(Not, 5000, atom)
+    got = substitute(f, x, d)
+    for _ in range(5000):  # walk, not ==: equality of two chains recurses
+        assert type(got) is Not
+        got = got.body
+    assert got == Pred("p", (DomainConst("S", 0),))
+    assert substitute(f, Var("zz", "S"), d) is f  # unchanged nodes are kept
+    bound = Implies(atom, Exists(x, atom))
+    assert substitute(bound, x, d).right is bound.right
+
+
 def test_substitute_sort_mismatch():
     with pytest.raises(SortError):
         substitute(Pred("p", (Var("x", "S"),)), Var("x", "S"), DomainElem("H", "()", 0))

@@ -18,6 +18,8 @@ from galcheck.textio import (
     write_bench_csv,
 )
 
+from _helpers import wide_function_doc
+
 
 # --------------------------------------------------------------------------- #
 # structures
@@ -81,21 +83,23 @@ def test_load_structure_rejects_bad_json():
     assert "invalid JSON" in str(err.value)
 
 
-def test_load_structure_rejects_ambiguous_argskey(example_structure_path):
-    # craft a sort whose labels make "a,a,a" splittable two ways
-    doc = {
-        "sorts": {"S": ["a", "a,a"]},
-        "players": [],
-        "functions": {"f": {"args": ["S", "S"], "result": "S", "rigid": True}},
-        "predicates": {},
-        "states": [{"id": "e0", "players": []}],
-        "rigid": {"funcs": {"f": {"a,a,a": "a"}}, "preds": {}},
-        "actions": [],
-        "initial": ["e0"],
-    }
-    with pytest.raises(SchemaError) as err:
-        load_structure(json.dumps(doc))
-    assert "ambiguous" in str(err.value)
+def test_load_structure_rejects_ambiguous_argskey():
+    # labels with commas make "a,a,a" splittable two ways into 2 arguments,
+    # and 5001 a's 5000 ways into 5000
+    for n in (2, 5000):
+        doc = wide_function_doc(["a", "a,a"], n, ",".join(["a"] * (n + 1)))
+        with pytest.raises(SchemaError, match="ambiguous"):
+            load_structure(json.dumps(doc))
+
+
+def test_wide_argument_keys_split_without_recursion():
+    labels = ["a", "b,c"]
+    args = labels * 2500
+    g = load_structure(json.dumps(wide_function_doc(labels, 5000, ",".join(args))))
+    elems = tuple(g.element("S", label) for label in args)
+    assert g.interp.fun("f", "e0", elems).label == "a"
+    with pytest.raises(SchemaError, match="does not match the declared sorts"):
+        load_structure(json.dumps(wide_function_doc(["a", "a,a"], 5000, ",".join(["a"] * 4999))))
 
 
 def test_unambiguous_comma_labels_resolve(example_structure_path):
