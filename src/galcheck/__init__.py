@@ -26,7 +26,6 @@ from .extensive import (
     spe_formula,
     strategies,
     to_gal_structure,
-    validate_game,
 )
 from .gamegen import (
     Bimatrix,

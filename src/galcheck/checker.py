@@ -33,8 +33,7 @@ set and the left operand only where the right one fails.  Term values
 are likewise computed lazily, on the states some care set reaches.  So
 `galcheck check` evaluates a table entry only where a care set reaches
 it, and its stats are `check_all`'s: `subformulas` counts no `!` and no
-instance that no care set reaches, and `millis` leaves out validation
-and compilation.
+instance that no care set reaches, and `millis` leaves out compilation.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import BindingError, InterpretationError, ValidationError
+from .errors import BindingError, InterpretationError
 from .logic import (
     AU,
     AX,
@@ -336,9 +335,9 @@ def _sat_set(
 def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     """The set of states satisfying `f` under valuation `v`.
 
-    The structure must validate; free variables of `f` (for instance the
-    starred profile variables of equilibrium formulas) must be assigned to
-    elements of their sorts' domains.
+    Free variables of `f` (for instance the starred profile variables of
+    equilibrium formulas) must be assigned to elements of their sorts'
+    domains.
     """
     # The only caller of `_label`; all else goes through check_all.  Returning
     # check_all(g, f, [v])[0] here cut bimatrix-ne's wall_s 0.271 -> 0.110 s,
@@ -346,9 +345,6 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     # grows with the round count, rose 23.2 -> 30.4 MB (+31 %, bound 10 %).
     # Once it no longer does, this can return check_all(g, f, [v])[0] and
     # `_label` can go.
-    violations = g.validate()
-    if violations:
-        raise ValidationError(violations)
     well_formed(f, g.sig)
     t0 = time.perf_counter()
     core = expand_abbreviations(f)
@@ -383,9 +379,6 @@ def check_all(
     strategy.  So interpretation callbacks run only on the states whose
     value is needed.  Nothing outlives the call.
     """
-    violations = g.validate()
-    if violations:
-        raise ValidationError(violations)
     well_formed(f, g.sig)
     states, succ = g.states, g.successor_indices()
     n = len(states)

@@ -17,7 +17,7 @@ line as `error: internal: ...`.
 table entry is evaluated only where a care set reaches it, and the printed
 `stats` are `check_all`'s: `subformulas` counts the instances labelled (a
 `!` is an edge, and instances no care set reaches are skipped), `millis`
-the labelling alone, without validation and compilation.
+the labelling alone, without compilation.
 """
 
 from __future__ import annotations

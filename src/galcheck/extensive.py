@@ -69,19 +69,66 @@ def terminal(utilities: Mapping[str, Fraction | int]) -> GameNode:
 
 @dataclass(frozen=True)
 class ExtensiveGame:
+    """A well-formed game: construction raises `ValidationError` listing every violation."""
+
     players: tuple[str, ...]
     root: GameNode
 
+    def __post_init__(self):
+        violations = self._violations()
+        if violations:
+            raise ValidationError(violations)
+
     @cached_property
     def nodes(self) -> dict[History, GameNode]:
-        """Every history's node in preorder, built once without recursion.
-        A duplicated sibling action keeps one child; `validate_game` reports it."""
+        """Every history's node in preorder, built once without recursion."""
         out: dict[History, GameNode] = {}
         stack: list[tuple[History, GameNode]] = [((), self.root)]
         while stack:
             h, node = stack.pop()
             out[h] = node
             stack.extend((h + (a,), child) for a, child in reversed(node.moves))
+        return out
+
+    def _violations(self) -> list[str]:
+        """Every violated invariant.  Action names must be nonempty and hold
+        no `,`, so that history and strategy labels are one-to-one."""
+        out: list[str] = []
+        if not self.players:
+            out.append("game declares no players")
+        if len(set(self.players)) != len(self.players):
+            out.append("duplicate player ids")
+        players = set(self.players)
+
+        # The raw tree, not `self.nodes`, so both children of a duplicated action are checked.
+        stack: list[tuple[History, GameNode]] = [((), self.root)]
+        while stack:
+            h, node = stack.pop()
+            where = history_label(h)
+            if node.is_terminal:
+                if node.utilities is None:
+                    out.append(f"terminal {where} has no utilities")
+                    continue
+                given = {p for p, _ in node.utilities}
+                for p in self.players:
+                    if p not in given:
+                        out.append(f"terminal {where} lacks a utility for player {p!r}")
+                for p in given - players:
+                    out.append(f"terminal {where} has a utility for unknown player {p!r}")
+            else:
+                if node.player is None:
+                    out.append(f"nonterminal {where} has no player to move")
+                elif node.player not in players:
+                    out.append(f"nonterminal {where} is moved by unknown player {node.player!r}")
+                if node.utilities is not None:
+                    out.append(f"nonterminal {where} carries utilities")
+                actions = [a for a, _ in node.moves]
+                if len(set(actions)) != len(actions):
+                    out.append(f"duplicate sibling actions at {where}")
+                for a in actions:
+                    if not a or "," in a:
+                        out.append(f"action {a!r} at {where} is empty or contains ','")
+                stack.extend((h + (a,), child) for a, child in reversed(node.moves))
         return out
 
 
@@ -159,44 +206,6 @@ def utility(g: ExtensiveGame, h: History, i: str) -> Fraction:
     raise ValueError(f"terminal {h!r} has no utility for {i!r}")
 
 
-def validate_game(g: ExtensiveGame) -> list[str]:
-    """Invariant violations, empty iff the game is well formed."""
-    out: list[str] = []
-    if not g.players:
-        out.append("game declares no players")
-    if len(set(g.players)) != len(g.players):
-        out.append("duplicate player ids")
-    players = set(g.players)
-
-    # The raw tree, not `g.nodes`, so both children of a duplicated action are checked.
-    stack: list[tuple[History, GameNode]] = [((), g.root)]
-    while stack:
-        h, node = stack.pop()
-        where = history_label(h)
-        if node.is_terminal:
-            if node.utilities is None:
-                out.append(f"terminal {where} has no utilities")
-                continue
-            given = {p for p, _ in node.utilities}
-            for p in g.players:
-                if p not in given:
-                    out.append(f"terminal {where} lacks a utility for player {p!r}")
-            for p in given - players:
-                out.append(f"terminal {where} has a utility for unknown player {p!r}")
-        else:
-            if node.player is None:
-                out.append(f"nonterminal {where} has no player to move")
-            elif node.player not in players:
-                out.append(f"nonterminal {where} is moved by unknown player {node.player!r}")
-            if node.utilities is not None:
-                out.append(f"nonterminal {where} carries utilities")
-            actions = [a for a, _ in node.moves]
-            if len(set(actions)) != len(actions):
-                out.append(f"duplicate sibling actions at {where}")
-            stack.extend((h + (a,), child) for a, child in reversed(node.moves))
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Strategies and outcomes
 
@@ -250,9 +259,6 @@ _FIXED_SYMBOLS = ("h", "O", "O_h", "ge", "onpath", "H", "T", "U")
 
 def to_gal_structure(g: ExtensiveGame) -> GalStructure:
     """Encode the game as a structure whose states are the histories."""
-    violations = validate_game(g)
-    if violations:
-        raise ValidationError(violations)
     for p in g.players:
         if p in _FIXED_SYMBOLS or f"u{p}" in _FIXED_SYMBOLS:
             raise SortError(f"player id {p!r} collides with a generated symbol name")
@@ -452,9 +458,6 @@ def _swapped(s: StrategyProfile, dev: Strategy) -> StrategyProfile:
 def backward_induction(g: ExtensiveGame) -> StrategyProfile:
     """One optimal profile computed bottom-up; ties go to the first action
     in canonical sibling order.  Always a member of the SPE set."""
-    violations = validate_game(g)
-    if violations:
-        raise ValidationError(violations)
     # Reversed preorder visits every child before its parent.
     values: dict[History, dict[str, Fraction]] = {}
     best: dict[History, str] = {}

@@ -6,6 +6,9 @@ evaluates function and predicate symbols on demand.  Raw evaluation callbacks
 work on element labels (plain strings); the provider resolves labels to
 `DomainElem` values, validates results against the declared profiles, and
 memoizes per (symbol, state, arguments) — rigid symbols ignore the state.
+A structure is checked once, when it is built: the constructor raises one
+`ValidationError` that lists every violated invariant, so every
+`GalStructure` that exists is well formed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InterpretationError
+from .errors import InterpretationError, ValidationError
 from .logic import App, DomainConst, DomainElem, Signature, Term, Var
 
 Valuation = Mapping[Var, DomainElem]
@@ -88,12 +91,17 @@ class InterpretationProvider:
 
 
 class GalStructure:
-    """A finite structure; immutable after construction.
+    """A finite, well-formed structure; immutable after construction.
 
     `states`, `initial`, and `actions` keep their given (deterministic)
     order; `domains` maps each sort to its ordered element list, which fixes
     the canonical order of elements and the meaning of `#sort:index`
-    literals.
+    literals.  The constructor raises `ValidationError`, listing every
+    violation, unless: state ids and each domain's elements are distinct,
+    initial states and action endpoints are declared states, every declared
+    sort (and no other) has a nonempty domain, per-state player sets name
+    declared states and players, and every state with a player has a
+    successor.
     """
 
     def __init__(
@@ -109,8 +117,6 @@ class GalStructure:
     ):
         self.sig = sig
         self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state ids")
         self.initial = tuple(dict.fromkeys(initial))
         seen: set[tuple[str, str]] = set()
         acts = []
@@ -122,9 +128,6 @@ class GalStructure:
         self.actions = tuple(acts)
         self.domains: dict[str, tuple[DomainElem, ...]] = {}
         for sort, labels in domains.items():
-            labels = list(labels)
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate elements in domain of sort {sort!r}")
             self.domains[sort] = tuple(
                 DomainElem(sort, lab, i) for i, lab in enumerate(labels)
             )
@@ -141,7 +144,9 @@ class GalStructure:
             if si is not None and di is not None:
                 self._succ[si].append(di)
                 self._pred[di].append(si)
-        self._violations: list[str] | None = None
+        violations = self._violations()
+        if violations:
+            raise ValidationError(violations)
 
     # -- queries -------------------------------------------------------------
 
@@ -173,21 +178,14 @@ class GalStructure:
 
     # -- invariants ----------------------------------------------------------
 
-    def validate(self) -> list[str]:
-        """Invariant violations, empty iff the structure is well formed.
-
-        Checks: initial states and action endpoints are declared states,
-        every declared sort has a nonempty domain, per-state player sets use
-        declared players, and every state with at least one player has at
-        least one successor.  Violations are data, not failures; the result
-        is cached (the structure is immutable).
-        """
-        if self._violations is not None:
-            return self._violations
+    def _violations(self) -> list[str]:
+        """Every violated invariant (see the class docstring), in a fixed order."""
         out: list[str] = []
         declared = set(self.states)
         if not self.states:
             out.append("structure has no states")
+        if len(declared) != len(self.states):
+            out.append("duplicate state ids")
         for e in self.initial:
             if e not in declared:
                 out.append(f"initial state {e!r} is not a declared state")
@@ -199,9 +197,11 @@ class GalStructure:
         for sort in sorted(self.sig.sorts):
             if not self.domains.get(sort):
                 out.append(f"sort {sort!r} has an empty or missing domain")
-        for sort in self.domains:
+        for sort, elems in self.domains.items():
             if sort not in self.sig.sorts:
                 out.append(f"domain given for undeclared sort {sort!r}")
+            if len(self._by_label[sort]) != len(elems):
+                out.append(f"duplicate elements in domain of sort {sort!r}")
         players = set(self.sig.players)
         for e, ps in self.players_at.items():
             if e not in declared:
@@ -212,7 +212,6 @@ class GalStructure:
                     out.append(f"state {e!r} lists undeclared player {p!r}")
             if ps and not self._succ[self._index[e]]:
                 out.append(f"state {e!r} has players {sorted(ps)} but no outgoing action")
-        self._violations = out
         return out
 
 

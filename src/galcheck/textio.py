@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Mapping
 
-from .errors import SchemaError, ValidationError
-from .extensive import ExtensiveGame, GameNode, decision, terminal, validate_game
+from .errors import SchemaError
+from .extensive import ExtensiveGame, GameNode, decision, terminal
 from .gamegen import Bimatrix
 from .logic import FuncDecl, PredDecl, Signature
 from .structure import GalStructure, table_provider
@@ -160,7 +160,7 @@ def load_structure(data: bytes | str) -> GalStructure:
         initial.append(sid)
 
     fun_eval, pred_eval = table_provider(state_funcs, state_preds, rigid_funcs, rigid_preds)
-    g = GalStructure(
+    return GalStructure(
         sig=sig,
         states=state_ids,
         initial=initial,
@@ -170,10 +170,6 @@ def load_structure(data: bytes | str) -> GalStructure:
         fun_eval=fun_eval,
         pred_eval=pred_eval,
     )
-    violations = g.validate()
-    if violations:
-        raise ValidationError(violations)
-    return g
 
 
 def _func_tables(
@@ -376,11 +372,7 @@ def load_game(data: bytes | str) -> ExtensiveGame:
             moves[action] = node(child, f"{path}/moves/{action}")
         return decision(player, moves)
 
-    game = ExtensiveGame(tuple(players), node(doc["root"], "/root"))
-    violations = validate_game(game)
-    if violations:
-        raise ValidationError(violations)
-    return game
+    return ExtensiveGame(tuple(players), node(doc["root"], "/root"))
 
 
 def _rational(value: Any, path: str) -> Fraction:

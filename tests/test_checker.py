@@ -234,9 +234,10 @@ def test_check_rejects_invalid_structure():
 
     sig = Signature(sorts=set(), functions={}, predicates={}, players=("1",))
     fun_eval, pred_eval = table_provider({}, {}, {}, {})
-    g = GalStructure(sig, ["e0"], ["e0"], [], {}, {"e0": ["1"]}, fun_eval, pred_eval)
-    with pytest.raises(ValidationError):
-        check(g, Top())
+    # an invalid structure cannot be built, so it never reaches the checker
+    with pytest.raises(ValidationError) as err:
+        GalStructure(sig, ["e0"], ["e0"], [], {}, {"e0": ["1"]}, fun_eval, pred_eval)
+    assert err.value.violations == ["state 'e0' has players ['1'] but no outgoing action"]
 
 
 # --------------------------------------------------------------------------- #

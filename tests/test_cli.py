@@ -1,6 +1,9 @@
+import copy
 import json
+import random
 import subprocess
 import sys
+import time
 
 from galcheck.cli import main
 from galcheck.textio import load_bimatrix, load_structure
@@ -243,6 +246,36 @@ def test_eq_too_deeply_nested_file_exit2(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def _terminal(u1, u2):
+    return {"utilities": {"1": u1, "2": u2}}
+
+
+def test_eq_comma_action_names_the_action(tmp_path, capsys):
+    # labels join actions with ",": (a,b) would name two histories
+    path = tmp_path / "comma.game.json"
+    root = {"player": "1", "moves": {
+        "a,b": _terminal(0, 0),
+        "a": {"player": "2", "moves": {"b": _terminal(1, 1), "c": _terminal(2, 2)}},
+    }}
+    path.write_text(json.dumps({"players": ["1", "2"], "root": root}))
+    code, out, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "ne")
+    assert (code, out) == (2, "")
+    assert err == "error: action 'a,b' at () is empty or contains ','\n"
+
+
+def test_eq_comma_actions_in_strategy_labels(tmp_path, capsys):
+    # <p,q,r> would name two of player 2's strategies
+    path = tmp_path / "comma.game.json"
+    root = {"player": "1", "moves": {
+        "x": {"player": "2", "moves": {"p": _terminal(0, 0), "p,q": _terminal(1, 1)}},
+        "y": {"player": "2", "moves": {"q,r": _terminal(2, 2), "r": _terminal(3, 3)}},
+    }}
+    path.write_text(json.dumps({"players": ["1", "2"], "root": root}))
+    code, _, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "spe")
+    assert code == 2
+    assert "action 'p,q' at (x)" in err and "action 'q,r' at (y)" in err
+
+
 # --------------------------------------------------------------------------- #
 # gen
 
@@ -362,6 +395,92 @@ def test_bench_constant_bound_zero_gives_square_counts(tmp_path, capsys):
     for row in rows:
         cells = row.split(",")
         assert int(cells[5]) == int(cells[1]) ** 2
+
+
+# --------------------------------------------------------------------------- #
+# fuzz: no traceback and no exit code that lies
+
+_JUNK = [None, True, 0, -1, 1.5, "", "a,b", "()", [], {}, ["1"], {"a": 1}, [0, 0]]
+_TOKENS = (
+    "true false @1 @2 ! & | -> EX AX EF AF EG AG E A [ ] U ( ) exists forall "
+    "v:T v w:S1 : . , = ge onpath u1 u2 O O_h h #U:1 #T:9 (B) zz"
+).split()
+
+
+def _mutate(rng, doc):
+    """`doc` with one random node dropped, replaced by junk or duplicated."""
+    trail, node = [], doc
+    while isinstance(node, (dict, list)) and node and (not trail or rng.random() < 0.7):
+        key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+        trail.append((node, key))
+        node = node[key]
+    if not trail:
+        return rng.choice(_JUNK)
+    parent, key = trail[-1]
+    op = rng.randrange(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1:
+        parent[key] = copy.deepcopy(rng.choice(_JUNK))
+    elif isinstance(parent, list):
+        parent.append(copy.deepcopy(parent[key]))
+    else:
+        parent[f"{key},{key}"] = copy.deepcopy(parent[key])
+    return doc
+
+
+def _invalid_shapes(game, structure):
+    """Documents the loaders accept but the constructors reject."""
+    deadlock = copy.deepcopy(structure)  # a player at a deadlock state
+    next(st for st in deadlock["states"] if st["id"] == "(B)")["players"] = ["1"]
+    empty = copy.deepcopy(structure)  # a declared sort with an empty domain
+    empty["sorts"]["Z"] = []
+    no_utils = copy.deepcopy(game)  # a terminal without utilities
+    no_utils["root"]["moves"]["B"] = {"utilities": {}}
+    comma = copy.deepcopy(game)  # a "," action: (A,L) names two histories
+    comma["root"]["moves"]["A,L"] = comma["root"]["moves"].pop("B")
+    return [("structure", deadlock), ("structure", empty), ("game", no_utils), ("game", comma)]
+
+
+def test_fuzzed_inputs_exit_honestly(example_game_path, example_structure_path, tmp_path, capsys):
+    rng = random.Random(12)
+    game = json.loads(example_game_path.read_text())
+    structure = json.loads(example_structure_path.read_text())
+    shapes = _invalid_shapes(game, structure)
+    cases = [(kind, doc, "true") for kind, doc in shapes]
+    for _ in range(300 - len(cases)):
+        kind = rng.choice(["game", "structure", "formula"])
+        if kind == "formula":
+            formula = " ".join(rng.choices(_TOKENS, k=rng.randint(1, 12)))
+            cases.append(("structure", structure, formula))
+            continue
+        doc = copy.deepcopy(game if kind == "game" else structure)
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutate(rng, doc)
+        cases.append((kind, doc, rng.choice(["true", "@1", "@2", "AX false", "onpath(h, v:T)"])))
+
+    codes = []
+    t0 = time.perf_counter()
+    path = tmp_path / "input.json"
+    for k, (kind, doc, formula) in enumerate(cases):
+        text = json.dumps(doc)
+        if rng.random() < 0.1:
+            text = text[: rng.randrange(len(text) + 1)]
+        path.write_text(text)
+        if kind == "game":
+            argv = ["eq", "--game", str(path), "--concept", rng.choice(["ne", "spe"])]
+        else:
+            argv = ["check", "--model", str(path), "--formula", formula]
+            if rng.random() < 0.3:
+                argv += ["--bind", rng.choice(["v=(B)", "v=(A)", "w=<A>", "v=zz", "v"])]
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, text, err)
+        assert "Traceback" not in err and "internal" not in err, (argv, text, err)
+        if k < len(shapes):  # rejected by the constructors
+            assert code == 2 and err.startswith("error: "), (argv, err)
+        codes.append(code)
+    assert time.perf_counter() - t0 < 5
+    assert {0, 1, 2} <= set(codes)
 
 
 # --------------------------------------------------------------------------- #

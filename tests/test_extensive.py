@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from galcheck.checker import holds_at
+from galcheck.errors import ValidationError
 from galcheck.extensive import (
     EquilibriumConcept,
     ExtensiveGame,
@@ -28,7 +29,6 @@ from galcheck.extensive import (
     terminal,
     to_gal_structure,
     utility,
-    validate_game,
 )
 from galcheck.logic import App, Var, free_variables
 from galcheck.structure import eval_term
@@ -42,32 +42,45 @@ def depth0():
 
 
 # --------------------------------------------------------------------------- #
-# validate_game
+# validation at construction
 
 
 def test_validate_example(example_game):
-    assert validate_game(example_game) == []
+    # construction validates, so rebuilding the example raises nothing
+    assert ExtensiveGame(example_game.players, example_game.root) == example_game
 
 
 def test_validate_missing_mover():
-    bad = ExtensiveGame(("1",), GameNode(player=None, moves=(("A", terminal({"1": 0})),)))
-    assert any("no player" in v for v in validate_game(bad))
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(("1",), GameNode(player=None, moves=(("A", terminal({"1": 0})),)))
+    assert any("no player" in v for v in err.value.violations)
 
 
 def test_validate_missing_utility():
-    bad = ExtensiveGame(("1", "2"), decision("1", {"A": terminal({"1": 0})}))
-    assert any("lacks a utility" in v for v in validate_game(bad))
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(("1", "2"), decision("1", {"A": terminal({"1": 0})}))
+    assert any("lacks a utility" in v for v in err.value.violations)
 
 
 def test_validate_checks_both_children_of_a_duplicated_action():
     # the node index keeps one child per action; validation must see both
-    bad = ExtensiveGame(
-        ("1",),
-        GameNode(player="1", moves=(("a", terminal({"1": 0})), ("a", GameNode()))),
-    )
-    violations = validate_game(bad)
-    assert "duplicate sibling actions at ()" in violations
-    assert "terminal (a) has no utilities" in violations
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(
+            ("1",),
+            GameNode(player="1", moves=(("a", terminal({"1": 0})), ("a", GameNode()))),
+        )
+    assert "duplicate sibling actions at ()" in err.value.violations
+    assert "terminal (a) has no utilities" in err.value.violations
+
+
+def test_validate_rejects_empty_and_comma_actions():
+    # either would give two histories or two strategies the same label
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(("1",), decision("1", {"": terminal({"1": 0}), "a": terminal({"1": 1})}))
+    assert err.value.violations == ["action '' at () is empty or contains ','"]
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(("1",), decision("1", {"a": decision("1", {"b,c": terminal({"1": 0})})}))
+    assert err.value.violations == ["action 'b,c' at (a) is empty or contains ','"]
 
 
 def _centipede(n):
@@ -81,8 +94,7 @@ def _centipede(n):
 
 
 def test_deep_game_walks_without_recursion():
-    g = _centipede(2000)
-    assert validate_game(g) == []
+    g = _centipede(2000)  # built, so validated, without recursion
     assert len(histories(g)) == 4001
     bi = backward_induction(g)
     assert [len(s.choice) for s in bi.strategies] == [1000, 1000]
@@ -170,7 +182,6 @@ def test_structure_depth0(depth0):
     assert len(gs.states) == 1
     assert gs.actions == ()
     assert gs.players_at[gs.states[0]] == frozenset()
-    assert gs.validate() == []
 
 
 def test_structure_history_designator(example_structure):
@@ -201,7 +212,6 @@ def test_structure_shape_counts_random():
             deadlock = gs.is_deadlock(state)
             empty_players = not gs.players_at[state]
             assert deadlock == empty_players
-        assert gs.validate() == []
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from galcheck.errors import InterpretationError
+from galcheck.errors import InterpretationError, ValidationError
+from galcheck.extensive import to_gal_structure
 from galcheck.logic import App, DomainConst, FuncDecl, PredDecl, Signature, Var
 from galcheck.structure import (
     GalStructure,
@@ -32,30 +33,55 @@ def tiny_structure(actions, players_at, states=("e0", "e1", "e2")):
 
 
 # --------------------------------------------------------------------------- #
-# validate
+# validation at construction
 
 
-def test_validate_example_structure(example_structure):
-    assert example_structure.validate() == []
+def test_validate_example_structure(example_game):
+    # construction validates, so encoding the example raises nothing
+    assert to_gal_structure(example_game).states
 
 
 def test_validate_flags_player_without_successor():
-    g = tiny_structure(actions=[("e0", "e1")], players_at={"e0": ["1"], "e1": ["1"], "e2": []})
-    report = g.validate()
+    with pytest.raises(ValidationError) as err:
+        tiny_structure(actions=[("e0", "e1")], players_at={"e0": ["1"], "e1": ["1"], "e2": []})
+    report = err.value.violations
     assert len(report) == 1 and "e1" in report[0]
 
 
 def test_validate_flags_unknown_action_endpoint():
-    g = tiny_structure(actions=[("e0", "nowhere")], players_at={})
-    report = g.validate()
+    with pytest.raises(ValidationError) as err:
+        tiny_structure(actions=[("e0", "nowhere")], players_at={})
+    report = err.value.violations
     assert len(report) == 1 and "nowhere" in report[0]
 
 
 def test_validate_flags_missing_domain():
     sig = Signature(sorts={"S"}, functions={}, predicates={}, players=())
     fun_eval, pred_eval = table_provider({}, {}, {}, {})
-    g = GalStructure(sig, ["e0"], ["e0"], [], {}, {}, fun_eval, pred_eval)
-    assert any("'S'" in v for v in g.validate())
+    with pytest.raises(ValidationError) as err:
+        GalStructure(sig, ["e0"], ["e0"], [], {}, {}, fun_eval, pred_eval)
+    assert any("'S'" in v for v in err.value.violations)
+
+
+def test_constructor_lists_every_violation():
+    with pytest.raises(ValidationError) as err:
+        tiny_structure(actions=[("e0", "nowhere")], players_at={"e2": ["1"]})
+    assert err.value.violations == [
+        "action ('e0', 'nowhere'): target is not a declared state",
+        "state 'e2' has players ['1'] but no outgoing action",
+    ]
+    assert str(err.value) == "; ".join(err.value.violations)
+
+
+def test_duplicates_are_violations():
+    with pytest.raises(ValidationError) as err:
+        tiny_structure(actions=[("e0", "e1")], players_at={}, states=("e0", "e1", "e0"))
+    assert err.value.violations == ["duplicate state ids"]
+    sig = Signature(sorts={"S"}, functions={}, predicates={}, players=())
+    fun_eval, pred_eval = table_provider({}, {}, {}, {})
+    with pytest.raises(ValidationError) as err:
+        GalStructure(sig, ["e0"], ["e0"], [], {"S": ["a", "b", "a"]}, {}, fun_eval, pred_eval)
+    assert err.value.violations == ["duplicate elements in domain of sort 'S'"]
 
 
 # --------------------------------------------------------------------------- #
