@@ -14,26 +14,32 @@ Two labellers answer.  `check` labels every instance at every state,
 recursively, keyed by the free-variable map of the core formula, built
 once per call; it answers the public `check` alone.  Everything else in
 the package goes through `check_all`: `holds_at`, `galcheck check` and
-`enumerate_equilibria`.  Expansion rejects a formula deeper than
+`enumerate_equilibria`.  Both reject a core formula deeper than
 `logic.MAX_DEPTH`, so neither labeller runs out of Python's recursion
-limit; neither keeps anything once it returns.  `check_all` first
-compiles the core formula once: it numbers the distinct nodes children
-first (equal nodes share a number, found without comparing nodes), gives
-each the environment slots of its free variables (a variable has its own
-slot, `exists` removes its bound one), and folds every chain of `!` into
-the polarity of an operand edge, so `!` is never an instance of its own.
-It then labels on demand (local model checking): an instance only on its
-care set, the states whose value its parent needs, starting from the
-states of interest `at` at the root.  A negated edge is the set
-difference of the parent's care set and the operand's marks.  `a -> b`
-labels `b` only where `a` holds; `exists` drops a state once an element
-marks it and stops when none is left; `AX` passes down the successors;
-`E[U]`/`A[U]` label the right operand on the forward closure of the care
-set and the left operand only where the right one fails.  Term values
-are likewise computed lazily, on the states some care set reaches.  So
-`galcheck check` evaluates a table entry only where a care set reaches
-it, and its stats are `check_all`'s: `subformulas` counts no `!` and no
-instance that no care set reaches, and `millis` leaves out compilation.
+limit; neither keeps anything once it returns.  `check` runs
+`well_formed`, then `expand_abbreviations`.  `check_all` instead
+compiles the formula as written, in `well_formed`'s one walk, and builds
+no core tree: it numbers the distinct core nodes children first (equal
+nodes share a number, found without comparing nodes), gives each the
+environment slots of its free variables (a variable has its own slot,
+`exists` removes its bound one), and folds every chain of `!` into the
+polarity of an operand edge, so `!` is never an instance of its own; an
+abbreviation builds edges with `logic.ABBREVIATIONS`, the table
+`expand_abbreviations` builds nodes with.  Its errors are `check`'s, in
+`check`'s order: any `well_formed` error, then a too-deep core, then an
+out-of-range `#S:i` literal.  It then labels on demand (local model
+checking): an instance only on its care set, the states whose value its
+parent needs, starting from the states of interest `at` at the root.  A
+negated edge is the set difference of the parent's care set and the
+operand's marks.  `a -> b` labels `b` only where `a` holds; `exists`
+drops a state once an element marks it and stops when none is left; `AX`
+passes down the successors; `E[U]`/`A[U]` label the right operand on the
+forward closure of the care set and the left operand only where the
+right one fails.  Term values are likewise computed lazily, on the
+states some care set reaches.  So `galcheck check` evaluates a table
+entry only where a care set reaches it, and its stats are `check_all`'s:
+`subformulas` counts no `!` and no instance that no care set reaches,
+and `millis` leaves out compilation.
 """
 
 from __future__ import annotations
@@ -42,11 +48,14 @@ import time
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable
 
 from .errors import BindingError, InterpretationError
 from .logic import (
+    ABBREVIATIONS,
     AU,
     AX,
     EU,
@@ -64,11 +73,11 @@ from .logic import (
     Top,
     Var,
     attributes,
+    check_depth,
     expand_abbreviations,
     free_variable_map,
     free_variables,
     operands,
-    post_order,
     pretty,
     well_formed,
 )
@@ -298,7 +307,8 @@ def _label(g: GalStructure, f: Formula, env: Valuation, store: LabelStore) -> fr
 
 def _valuation_check(g: GalStructure, variables: Iterable[Var]):
     """The binding check of valuations of a formula with these free
-    variables; the variables' domains are found once."""
+    variables; the variables' domains are found once.  The environment it
+    returns holds the variables in name order."""
     fv = sorted(variables, key=lambda x: x.name)
     doms = [(var, g.domains.get(var.sort, ())) for var in fv]
 
@@ -325,9 +335,9 @@ def _sat_set(
 ) -> SatSet:
     millis = (time.perf_counter() - t0) * 1000.0
     return SatSet(
-        states=frozenset(g.states[k] for k in marks),
+        states=frozenset([g.states[k] for k in marks]),
         formula=f,
-        valuation=tuple(sorted(env.items(), key=lambda p: p[0].name)),
+        valuation=tuple(env.items()),  # in name order, as `_valuation_check` builds it
         stats=CheckStats(len(g.states), len(g.actions), len(store), millis),
     )
 
@@ -364,73 +374,99 @@ def check_all(
     """`check(g, f, v)` for every valuation `v`, in order, in one pass,
     restricted to the states `at` (state ids; default every state).
 
-    The formula is checked, expanded and compiled once, as the module
-    docstring says: node ids, free-variable slots and `!` folded into
-    operand edges; its `#S:i` literals are checked against the domains on
-    the way.  The slots give the keys and the root's free variables for the
-    binding check.  Each valuation is labeled with a store of its own, on
-    demand: an instance only on its care set, and only on the states the
-    store has not decided yet.  The stats count the instances labeled.
-    Instances and terms are keyed by a node id and the indices of the
-    elements in the slots of their free variables.  A term's values are
-    filled on the states a care set asks for, and shared by every valuation
-    that agrees on the term's variables: `u_i(O_h(h, w_i, v_-i))` is
-    evaluated once for all profiles that differ only in player i's
-    strategy.  So interpretation callbacks run only on the states whose
-    value is needed.  Nothing outlives the call.
+    The formula is compiled once, in `well_formed`'s walk of the tree as
+    written, as the module docstring says: each node is sort-checked, and
+    its core form gets a node number, free-variable slots and `!` folded
+    into operand edges, with no expanded tree built; its `#S:i` literals are
+    checked against the domains on the way.  The slots give the keys and the
+    root's free variables for the binding check.  Each valuation is labeled
+    with a store of its own, on demand: an instance only on its care set,
+    and only on the states the store has not decided yet.  The stats count
+    the instances labeled.  Instances and terms are keyed by a node id and
+    the indices of the elements in the slots of their free variables.  A
+    term's values are filled on the states a care set asks for, and shared
+    by every valuation that agrees on the term's variables:
+    `u_i(O_h(h, w_i, v_-i))` is evaluated once for all profiles that differ
+    only in player i's strategy.  So interpretation callbacks run only on
+    the states whose value is needed.  Nothing outlives the call.
     """
-    well_formed(f, g.sig)
     states, succ = g.states, g.successor_indices()
     n = len(states)
     focus = frozenset(range(n)) if at is None else frozenset([g.state_index(e) for e in at])
 
-    # Compile the core formula: number its distinct nodes and terms in
-    # post-order, so that operands get smaller numbers than their parents.
-    # Equal nodes (the same class, attributes and operand edges) share a
-    # number, found without comparing nodes.  A variable gets a slot in the
-    # environment list, and every node the slots of its free variables.  A
-    # chain of `!` is no node of its own: a formula operand is an edge
-    # (number, negated).
-    edges: dict[int, tuple[int, bool]] = {}  # id of a core node -> its edge
+    # Compile the formula as written, in `well_formed`'s one post-order
+    # walk: once a node passes its sort check, its core form is interned.  A
+    # core node's number is shared by equal nodes (the same class,
+    # attributes and operand edges), found without comparing nodes, and
+    # operands get smaller numbers than their parents.  A chain of `!` is no
+    # node of its own: a formula operand is an edge (number, negated), and
+    # an abbreviation builds edges straight from its operands' edges.  A
+    # variable gets a slot in the environment list, and every node the
+    # slots of its free variables.  A too-deep core or an out-of-range
+    # literal is raised only once the whole formula is well formed.
     numbers: dict[tuple, int] = {}
-    nodes: list[Formula | Term] = []
+    kinds: list[type] = []
+    attrs: list[tuple] = []  # names, sorts and indices
     kids: list[tuple] = []
     free: list[frozenset[int]] = []
-    slots: dict[Var, int] = {}
-    core = expand_abbreviations(f)
-    for x, xs in post_order(core):
-        ops = [edges[id(y)] for y in xs]
-        if isinstance(x, Not):
-            i, negated = ops[0]
-            edges[id(x)] = (i, not negated)
-            continue
-        key = (type(x), attributes(x), *ops)
+    slots: dict[int, int] = {}  # number of a variable -> its slot
+    out_of_range: list[tuple] = []
+
+    def node(cls: type, names: tuple, *ops: tuple) -> tuple:
+        """The (edge, core height) of a node of `cls` with these names,
+        sorts and indices, over operands given the same way."""
+        key = (cls, names, *[e for e, _ in ops])
         i = numbers.get(key)
         if i is None:
-            i = numbers[key] = len(nodes)
-            fv = frozenset().union(*[free[j] for j, _ in ops])
-            if isinstance(x, Var):
-                slots[x] = len(slots)
-                fv = frozenset([slots[x]])
-            elif isinstance(x, Exists):
-                slot = slots[x.var]
+            i = numbers[key] = len(kinds)
+            edges = key[2:]
+            fv = frozenset().union(*[free[j] for j, _ in edges])
+            if cls is Var:
+                slots[i] = len(slots)
+                fv = frozenset([slots[i]])
+            elif cls is Exists:
+                slot = slots[edges[0][0]]
                 fv -= {slot}
-                ops = [slot, ops[1]]  # the bound slot and the body's edge
-            elif isinstance(x, (App, Pred, Eq)):
-                ops = [j for j, _ in ops]  # terms are never negated
-            elif isinstance(x, DomainConst) and not 0 <= x.index < len(g.domains[x.sort]):
-                raise InterpretationError(f"#{x.sort}:{x.index} is out of range for sort {x.sort!r}")
-            nodes.append(x)
-            kids.append(tuple(ops))
+                edges = (slot, edges[1])  # the bound slot and the body's edge
+            elif cls is App or cls is Pred or cls is Eq:
+                edges = tuple([j for j, _ in edges])  # terms are never negated
+            elif cls is DomainConst and not 0 <= names[1] < len(g.domains[names[0]]):
+                out_of_range.append(names)
+            kinds.append(cls)
+            attrs.append(names)
+            kids.append(edges)
             free.append(fv)
-        edges[id(x)] = (i, False)
-    root, negated_root = edges[id(core)]
-    checked = _valuation_check(g, [v for v, slot in slots.items() if slot in free[root]])
-    kinds = [type(x) for x in nodes]
-    # A node's key is its id, paired with the element indices in the slots
-    # of its free variables when it has any.
+        return (i, False), 1 + max([h for _, h in ops], default=0)
+
+    def negate(op: tuple) -> tuple:
+        (i, neg), h = op
+        return (i, not neg), h + 1
+
+    core = SimpleNamespace(
+        Not=negate, **{cls.__name__: partial(node, cls, ()) for cls in (Top, Implies, AX, EU, AU, Exists)}
+    )
+
+    def compile_node(x: Formula | Term, ops: list[tuple]) -> tuple:
+        """The (edge, core height) of `x`, given its operands'."""
+        cls = type(x)
+        rewrite = ABBREVIATIONS.get(cls)
+        if rewrite is not None:
+            return rewrite(core, *ops)
+        if cls is Not:
+            return negate(*ops)
+        return node(cls, attributes(x), *ops)
+
+    (root, negated_root), height = well_formed(f, g.sig, compile_node)
+    check_depth(height)
+    if out_of_range:
+        s, index = out_of_range[0]
+        raise InterpretationError(f"#{s}:{index} is out of range for sort {s!r}")
+    free_slots = {Var(*attrs[j]): slot for j, slot in slots.items() if slot in free[root]}
+    checked = _valuation_check(g, free_slots)
+    # A node's key is its number, paired with the element indices in the
+    # slots of its free variables when it has any.
     getters = [itemgetter(*sorted(fv)) if fv else None for fv in free]
-    sort_of = {slots[v]: g.domains[v.sort] for v in slots}
+    sort_of = {slot: g.domains[attrs[j][1]] for j, slot in slots.items()}
     players_of = [g.players_at.get(e, frozenset()) for e in states]
     pred, fun = g.interp.pred, g.interp.fun
     vectors: dict[tuple, list] = {}
@@ -441,9 +477,13 @@ def check_all(
         key = (t, get(env)) if get else t
         vec = vectors.get(key)
         if vec is None:
-            x = nodes[t]
             if kinds[t] is not App:  # a variable or a literal: one element everywhere
-                elem = sort_of[slots[x]][env[slots[x]]] if kinds[t] is Var else g.domains[x.sort][x.index]
+                if kinds[t] is Var:
+                    slot = slots[t]
+                    elem = sort_of[slot][env[slot]]
+                else:
+                    s, index = attrs[t]
+                    elem = g.domains[s][index]
                 vec = vectors[key] = [elem] * n
                 return vec
             vec = vectors[key] = [None] * n
@@ -457,7 +497,7 @@ def check_all(
         args = []  # a loop, not a comprehension: one frame per level of a deep term
         for a in kids[t]:
             args.append(vector(a, env, missing))
-        name = nodes[t].func
+        name = attrs[t][0]
         for k in missing:
             vec[k] = fun(name, states[k], tuple([a[k] for a in args]))
         return vec
@@ -489,7 +529,7 @@ def check_all(
         kind, decided = kinds[i], todo
         if kind is Pred:
             args = [vector(a, env, todo) for a in kids[i]]
-            name = nodes[i].name
+            name = attrs[i][0]
             marks = {k for k in todo if pred(name, states[k], tuple([a[k] for a in args]))}
         elif kind is Eq:
             left, right = [vector(a, env, todo) for a in kids[i]]
@@ -523,12 +563,10 @@ def check_all(
             stay = live - label(a, env, live) if neg_a else label(a, env, live)
             marks = (_eu_marks if kind is EU else _au_marks)(g, stay, goal)
         elif kind is PlayerAtom:
-            player = nodes[i].player
+            player = attrs[i][0]
             marks = {k for k in todo if player in players_of[k]}
-        elif kind is Top:
+        else:  # Top
             marks = todo
-        else:
-            raise TypeError(f"not a core formula: {nodes[i]!r}")
         if entry is not None:
             decided, marks = entry[0] | decided, entry[1] | marks
         store[key] = (decided, marks)
@@ -539,7 +577,7 @@ def check_all(
         bindings = checked(v)
         env = [0] * len(slots)
         for var, elem in bindings.items():
-            env[slots[var]] = elem.index
+            env[free_slots[var]] = elem.index
         t0 = time.perf_counter()
         store: dict = {}
         marks = label(root, env, focus)

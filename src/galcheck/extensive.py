@@ -80,6 +80,11 @@ class ExtensiveGame:
             raise ValidationError(violations)
 
     @cached_property
+    def _strategies(self) -> dict[str, list[Strategy]]:
+        """Each player's strategies, filled by `strategies` on first use."""
+        return {}
+
+    @cached_property
     def nodes(self) -> dict[History, GameNode]:
         """Every history's node in preorder, built once without recursion."""
         out: dict[History, GameNode] = {}
@@ -135,18 +140,21 @@ class ExtensiveGame:
 @dataclass(frozen=True)
 class Strategy:
     """A total choice of one available action at each of the owner's
-    decision histories (reachable or not), in canonical history order."""
+    decision histories (reachable or not), in canonical history order.
+    Its hash, label and history -> action table are computed when it is
+    built; hash and equality are by fields."""
 
     owner: str
     choice: tuple[tuple[History, str], ...]
 
-    @property
-    def label(self) -> str:
-        return "<" + ",".join(a for _, a in self.choice) + ">"
+    def __post_init__(self):
+        d = self.__dict__
+        d["_hash"] = hash((self.owner, self.choice))
+        d["label"] = "<" + ",".join([a for _, a in self.choice]) + ">"
+        d["_by_history"] = dict(reversed(self.choice))  # the first choice at a history wins
 
-    @cached_property
-    def _by_history(self) -> dict[History, str]:
-        return dict(reversed(self.choice))  # the first choice at a history wins
+    def __hash__(self) -> int:
+        return self._hash
 
     def action_at(self, h: History) -> str:
         try:
@@ -215,12 +223,12 @@ def strategies(g: ExtensiveGame, i: str) -> list[Strategy]:
     actions over i's decision histories, in lexicographic order."""
     if i not in g.players:
         raise ValueError(f"unknown player {i!r}")
-    hs = decision_histories(g, i)
-    menus = [[a for a, _ in g.nodes[h].moves] for h in hs]
-    out = []
-    for picks in itertools.product(*menus):
-        out.append(Strategy(i, tuple(zip(hs, picks))))
-    return out
+    table = g._strategies.get(i)
+    if table is None:
+        hs = decision_histories(g, i)
+        menus = [[a for a, _ in g.nodes[h].moves] for h in hs]
+        table = g._strategies[i] = [Strategy(i, tuple(zip(hs, picks))) for picks in itertools.product(*menus)]
+    return list(table)
 
 
 def profile_count(g: ExtensiveGame) -> int:
@@ -278,9 +286,9 @@ def to_gal_structure(g: ExtensiveGame) -> GalStructure:
             actions.extend((label, history_label(h + (a,))) for a, _ in node.moves)
 
     strategy_sets = {p: strategies(g, p) for p in g.players}
-    strat_by_label = {
-        p: {s.label: s for s in strategy_sets[p]} for p in g.players
-    }
+    # Per player, each strategy's history -> action table by its label.
+    tables = [{s.label: s._by_history for s in strategy_sets[p]} for p in g.players]
+    mover = {p: k for k, p in enumerate(g.players)}
     utils = sorted(utils_seen)
     util_value = {_frac_label(u): u for u in utils}
 
@@ -306,18 +314,22 @@ def to_gal_structure(g: ExtensiveGame) -> GalStructure:
     for p in g.players:
         domains[f"S{p}"] = [s.label for s in strategy_sets[p]]
 
-    def profile_of(labels: Sequence[str]) -> StrategyProfile:
-        return StrategyProfile(
-            tuple(strat_by_label[p][lab] for p, lab in zip(g.players, labels))
-        )
+    def play(h: History, labels: Sequence[str]) -> str:
+        """The label of the terminal history the labelled profile reaches from `h`."""
+        choices = [table[lab] for table, lab in zip(tables, labels)]
+        node = g.nodes[h]
+        while not node.is_terminal:
+            h = h + (choices[mover[node.player]][h],)
+            node = g.nodes[h]
+        return history_label(h)
 
     def fun_eval(name: str, state: str, args: tuple[str, ...]) -> str:
         if name == "h":
             return state
         if name == "O":
-            return history_label(outcome(g, profile_of(args)))
+            return play((), args)
         if name == "O_h":
-            return history_label(outcome_from(g, by_label[args[0]], profile_of(args[1:])))
+            return play(by_label[args[0]], args[1:])
         if name.startswith("u"):
             return _frac_label(utility(g, by_label[args[0]], name[1:]))
         raise ValueError(f"unknown function {name!r}")

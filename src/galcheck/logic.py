@@ -25,7 +25,8 @@ Nodes store their hash and height when built, so neither recurses.
 recursion, keyed by node id, and cache nothing between calls.  Expansion
 rejects a core formula deeper than MAX_DEPTH, which keeps what recurses
 after it (labelling, node equality, term evaluation, `pretty`) within
-Python's recursion limit.
+Python's recursion limit.  `checker.check_all` compiles a formula in
+`well_formed`'s walk, with `ABBREVIATIONS` and `check_depth`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import re
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from operator import attrgetter, is_not
-from typing import Iterable, Mapping, Union
+from types import SimpleNamespace
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 
@@ -172,12 +174,12 @@ def _equal(a, b):
         return NotImplemented
     if a is b:
         return True
-    xs, ys = operands(a), operands(b)
-    if a._hash != b._hash or len(xs) != len(ys):
+    if a._hash != b._hash:
         return False
-    if not xs:  # only names, sorts and indices: no node to recurse into
+    if not _OPERAND_FIELDS[a.__class__]:  # only names, sorts and indices
         return a.__dict__ == b.__dict__
-    if attributes(a) != attributes(b):
+    xs, ys = operands(a), operands(b)
+    if len(xs) != len(ys) or attributes(a) != attributes(b):
         return False
     for x, y in zip(xs, ys):
         if x is not y and _equal(x, y) is not True:
@@ -445,18 +447,22 @@ def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
     return done[id(f)]
 
 
-# Each abbreviation's core form, given its operands already expanded.
-_ABBREVIATIONS = {
-    Bottom: lambda: Not(Top()),
-    And: lambda a, b: Not(Implies(a, Not(b))),
-    Or: lambda a, b: Implies(Not(a), b),
-    EX: lambda a: Not(AX(Not(a))),
-    AF: lambda a: AU(Top(), a),
-    EF: lambda a: EU(Top(), a),
-    AG: lambda a: Not(EU(Top(), Not(a))),
-    EG: lambda a: Not(AU(Top(), Not(a))),
-    Forall: lambda x, a: Not(Exists(x, Not(a))),
+# Each abbreviation's core form, built with the core constructors `c` from
+# its operands' core forms.  `c` has only Top, Not, Implies, AX, EU, AU and
+# Exists: `_CORE_NODES` builds syntax nodes with them, and `check_all`'s
+# compile builds operand edges with them.
+ABBREVIATIONS = {
+    Bottom: lambda c: c.Not(c.Top()),
+    And: lambda c, a, b: c.Not(c.Implies(a, c.Not(b))),
+    Or: lambda c, a, b: c.Implies(c.Not(a), b),
+    EX: lambda c, a: c.Not(c.AX(c.Not(a))),
+    AF: lambda c, a: c.AU(c.Top(), a),
+    EF: lambda c, a: c.EU(c.Top(), a),
+    AG: lambda c, a: c.Not(c.EU(c.Top(), c.Not(a))),
+    EG: lambda c, a: c.Not(c.AU(c.Top(), c.Not(a))),
+    Forall: lambda c, x, a: c.Not(c.Exists(x, c.Not(a))),
 }
+_CORE_NODES = SimpleNamespace(Top=Top, Not=Not, Implies=Implies, AX=AX, EU=EU, AU=AU, Exists=Exists)
 
 
 # The deepest core formula `expand_abbreviations` accepts; a node without
@@ -465,6 +471,14 @@ _ABBREVIATIONS = {
 # recursion limit of about 450 of the default 1000.  Every formula that
 # could be checked before this bound existed is at most about 330 deep.
 MAX_DEPTH = 400
+
+
+def check_depth(height: int) -> None:
+    """Reject a core formula more than MAX_DEPTH levels high."""
+    if height > MAX_DEPTH:
+        raise GalcheckError(
+            f"formula is nested too deeply (more than {MAX_DEPTH} levels once abbreviations are expanded)"
+        )
 
 
 def expand_abbreviations(f: Formula) -> Formula:
@@ -476,21 +490,18 @@ def expand_abbreviations(f: Formula) -> Formula:
     AF a = A[true U a], EF a = E[true U a], AG a = !E[true U !a],
     EG a = !A[true U !a], forall x a = !exists x !a.
 
-    Both labellers start here; a core formula deeper than MAX_DEPTH is
-    rejected with "formula is nested too deeply".
+    A core formula deeper than MAX_DEPTH is rejected with "formula is
+    nested too deeply".
     """
     core: dict[int, Formula] = {}  # id of a formula node -> its core form
     for x, ops in post_order(f, Formula):
         new = [core.get(id(y), y) for y in ops]  # a term is its own core form
-        rewrite = _ABBREVIATIONS.get(type(x))
+        rewrite = ABBREVIATIONS.get(type(x))
         if rewrite is not None:
-            y = rewrite(*new)
+            y = rewrite(_CORE_NODES, *new)
         else:
             y = rebuild(x, new) if any(map(is_not, new, ops)) else x
-        if y._height > MAX_DEPTH:
-            raise GalcheckError(
-                f"formula is nested too deeply (more than {MAX_DEPTH} levels once abbreviations are expanded)"
-            )
+        check_depth(y._height)
         core[id(x)] = y
     return core[id(f)]
 
@@ -513,64 +524,70 @@ def metrics(f: Formula) -> FormulaMetrics:
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-def well_formed(f: Formula, sig: Signature) -> None:
+def well_formed(f: Formula, sig: Signature, build: Callable | None = None):
     """Raise if `f` uses undeclared identifiers, breaks a profile, or
     rebinds a variable along one quantifier path.
 
     This is where arities and sorts are checked; the parser leaves them to
-    it.  Each node is checked after its operands, without recursion.
+    it.  Each node is checked after its operands, without recursion.  With
+    `build`, the same walk also calls `build(x, [what it returned for each
+    operand of x])` on each node once it passes, and returns what it
+    returned for `f`; `checker.check_all` compiles the formula this way.
     """
-    sorts: dict[int, str | None] = {}  # id of a node -> its sort if a term, None if a formula
-    binds: dict[int, frozenset[str]] = {}  # id of a formula -> the names its quantifiers bind
-    for x, ops in post_order(f):
-        got = [sorts[id(y)] for y in ops]
-        if isinstance(x, Var):
+    # id of a node -> (its sort if a term, the names its quantifiers bind, what `build` returned)
+    done: dict[int, tuple] = {}
+    for x, xs in post_order(f):
+        ops = [done[id(y)] for y in xs]
+        cls, sort, names = x.__class__, None, _NO_NAMES
+        if cls is Var:
             if x.sort not in sig.sorts:
                 raise SortError(f"variable {x.name!r} has undeclared sort {x.sort!r}")
-            sorts[id(x)] = x.sort
-            continue
-        if isinstance(x, DomainConst):
-            if x.sort not in sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {x.sort!r}")
-            if x.index < 0:
-                raise SortError(f"negative domain index in #{x.sort}:{x.index}")
-            sorts[id(x)] = x.sort
-            continue
-        names = _NO_NAMES
-        if isinstance(x, (App, Pred)):
+            sort = x.sort
+        elif cls is App or cls is Pred:
             kind, name, decls = (
-                ("function", x.func, sig.functions) if isinstance(x, App)
-                else ("predicate", x.name, sig.predicates)
+                ("function", x.func, sig.functions) if cls is App else ("predicate", x.name, sig.predicates)
             )
             decl = decls.get(name)
             if decl is None:
                 raise UnknownIdentifierError(f"unknown {kind} {name!r}")
-            if len(got) != len(decl.args):
-                raise SortError(f"{kind} {name!r} expects {len(decl.args)} arguments, got {len(got)}")
-            for have, want in zip(got, decl.args):
-                if have != want:
-                    raise SortError(f"argument of {name!r} has sort {have!r}, expected {want!r}")
-            if isinstance(x, App):
-                sorts[id(x)] = decl.result
-                continue
-        elif isinstance(x, Eq):
-            if got[0] is None or got[0] != got[1]:
-                raise SortError(f"equality between sorts {got[0]!r} and {got[1]!r}")
-        elif isinstance(x, PlayerAtom):
+            if len(ops) != len(decl.args):
+                raise SortError(f"{kind} {name!r} expects {len(decl.args)} arguments, got {len(ops)}")
+            for op, want in zip(ops, decl.args):
+                if op[0] != want:
+                    raise SortError(f"argument of {name!r} has sort {op[0]!r}, expected {want!r}")
+            if cls is App:
+                sort = decl.result
+        elif cls is DomainConst:
+            if x.sort not in sig.sorts:
+                raise UnknownIdentifierError(f"unknown sort {x.sort!r}")
+            if x.index < 0:
+                raise SortError(f"negative domain index in #{x.sort}:{x.index}")
+            sort = x.sort
+        elif cls is Eq:
+            left, right = ops[0][0], ops[1][0]
+            if left is None or left != right:
+                raise SortError(f"equality between sorts {left!r} and {right!r}")
+        elif cls is PlayerAtom:
             if x.player not in sig.players:
                 raise UnknownIdentifierError(f"unknown player {x.player!r}")
-        elif any(got[1:] if isinstance(x, (Exists, Forall)) else got):
-            raise TypeError(f"a term in formula position: {x!r}")
-        elif isinstance(x, (Exists, Forall)):
-            names = binds[id(x.body)]
-            if x.var.name in names:
+        elif cls is Exists or cls is Forall:
+            body = ops[1]
+            if body[0] is not None:
+                raise TypeError(f"a term in formula position: {x!r}")
+            if x.var.name in body[1]:
                 raise SortError(f"variable {x.var.name!r} bound twice on one quantifier path")
-            names = names | {x.var.name}
-        elif ops:
-            names = frozenset().union(*[binds[id(y)] for y in ops])
-        sorts[id(x)], binds[id(x)] = None, names
-    if sorts[id(f)] is not None:
+            names = body[1] | {x.var.name}
+        else:
+            for op in ops:
+                if op[0] is not None:
+                    raise TypeError(f"a term in formula position: {x!r}")
+                if op[1]:
+                    names = names | op[1]
+        done[id(x)] = sort, names, build(x, [op[2] for op in ops]) if build else None
+    sort, _, built = done[id(f)]
+    if sort is not None:
         raise TypeError(f"not a formula: {f!r}")
+    return built
 
 
 # --------------------------------------------------------------------------- #

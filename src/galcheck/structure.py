@@ -49,7 +49,7 @@ class InterpretationProvider:
 
     def fun(self, name: str, state: str, args: tuple[DomainElem, ...]) -> DomainElem:
         decl = self.sig.functions[name]
-        labels = tuple(a.label for a in args)
+        labels = tuple([a.label for a in args])
         key = (name, None if decl.rigid else state, labels)
         hit = self._funs.get(key)
         if hit is not None:
@@ -73,7 +73,7 @@ class InterpretationProvider:
 
     def pred(self, name: str, state: str, args: tuple[DomainElem, ...]) -> bool:
         decl = self.sig.predicates[name]
-        labels = tuple(a.label for a in args)
+        labels = tuple([a.label for a in args])
         key = (name, None if decl.rigid else state, labels)
         hit = self._preds.get(key)
         if hit is not None:

@@ -29,18 +29,22 @@ from galcheck.extensive import (
     to_gal_structure,
 )
 from galcheck.logic import (
+    AG,
     AU,
     AX,
     EU,
+    EX,
     And,
     App,
     Bottom,
     DomainConst,
     Eq,
     Exists,
+    Forall,
     Implies,
     MAX_DEPTH,
     Not,
+    Or,
     PlayerAtom,
     Pred,
     Top,
@@ -624,3 +628,65 @@ def test_check_all_raises_what_check_raises(example_structure):
     with pytest.raises(InterpretationError) as together:
         check_all(example_structure, unreached, [{}], at=["()"])
     assert str(together.value) == str(alone.value)
+
+
+# Ill-formed formulas on the worked example's signature: one fault each.
+_H = App("h")
+_FAULTS = {
+    "unknown predicate": lambda: Pred("nosuch", ()),
+    "unknown function": lambda: Eq(App("nosuch"), App("h")),
+    "unknown player": lambda: PlayerAtom("9"),
+    "unknown literal sort": lambda: Eq(App("h"), DomainConst("Nope", 0)),
+    "wrong arity": lambda: Pred("ge", (DomainConst("U", 0),)),
+    "argument sort": lambda: Pred("ge", (App("h"), App("h"))),
+    "equality sorts": lambda: Eq(App("h"), DomainConst("U", 0)),
+    "undeclared variable sort": lambda: Eq(Var("x", "Nope"), Var("x", "Nope")),
+    "bound twice": lambda: Exists(Var("x", "H"), Forall(Var("x", "H"), Eq(Var("x", "H"), App("h")))),
+    "term in formula position": lambda: Not(App("h")),
+    "negative literal": lambda: Eq(App("h"), DomainConst("H", -1)),
+    "out-of-range literal": lambda: Eq(App("h"), DomainConst("H", 99)),
+    # well formed, and within MAX_DEPTH as written, but not once expanded
+    "deep through &": lambda: _chain(lambda f: And(f, Top()), 250, Top()),
+    "deep through AG": lambda: _chain(AG, 200, Top()),
+    "deep through forall": lambda: _chain(lambda f: Forall(Var(f"d{f._height}", "H"), f), 150, Top()),
+    "deep through EX": lambda: _chain(EX, 150, Top()),
+}
+# Contexts a fault is put in; they bind no name a fault uses.
+_CONTEXTS = (
+    lambda f: f,
+    Not,
+    AG,
+    EX,
+    lambda f: Forall(Var("z", "S1"), f),
+    lambda f: Implies(PlayerAtom("1"), f),
+    lambda f: Or(f, Top()),
+    lambda f: EU(Top(), f),
+)
+
+
+def _same_error(g, f):
+    """`check_all(g, f, [{}])` raises what `check(g, f, {})` raises."""
+    with pytest.raises(Exception) as alone:
+        check(g, f, {})
+    with pytest.raises(Exception) as together:
+        check_all(g, f, [{}])
+    assert (type(together.value), str(together.value)) == (type(alone.value), str(alone.value)), repr(f)[:300]
+
+
+def test_check_all_errors_match_check_on_ill_formed_formulas(example_structure):
+    g = example_structure
+    rng = random.Random(13013)
+    for name, fault in _FAULTS.items():
+        for _ in range(3):
+            _same_error(g, rng.choice(_CONTEXTS)(fault()))
+    # every pair of faults, in both orders, each in a context of its own
+    for a, b in itertools.permutations(_FAULTS.values(), 2):
+        left, right = rng.choice(_CONTEXTS)(a()), rng.choice(_CONTEXTS)(b())
+        _same_error(g, And(left, right))
+        _same_error(g, rng.choice([Implies, Or, EU, AU])(left, right))
+    _same_error(g, App("h"))  # a term is no formula
+    deep = _chain(AG, 200, Top())
+    with pytest.raises(GalcheckError, match="unknown predicate 'nosuch'"):
+        check_all(g, And(deep, Pred("nosuch", ())), [{}])
+    with pytest.raises(GalcheckError, match="nested too deeply"):
+        check_all(g, And(deep, _FAULTS["out-of-range literal"]()), [{}])

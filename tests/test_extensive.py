@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from galcheck.extensive import (
     decision_histories,
     enumerate_equilibria,
     histories,
+    history_label,
     ne_formula,
     oracle_equilibria,
     outcome,
@@ -314,3 +316,29 @@ def test_spe_subset_of_ne_and_contains_bi():
         assert spe
         assert spe <= ne
         assert backward_induction(g).labels in spe
+
+
+def test_encoding_outcomes_and_strategy_tables_on_random_games():
+    rng = random.Random(1313)
+    for _ in range(30):
+        g = random_game(rng)
+        for i in g.players:
+            # the enumeration from the definition: one pick per decision history
+            hs = decision_histories(g, i)
+            menus = [[a for a, _ in g.nodes[h].moves] for h in hs]
+            expected = [Strategy(i, tuple(zip(hs, picks))) for picks in itertools.product(*menus)]
+            first, second = strategies(g, i), strategies(g, i)
+            assert first == second == expected and first is not second
+            first.clear()
+            assert strategies(g, i) == expected
+            for s in expected:
+                assert hash(s) == hash((s.owner, s.choice))
+        gs = to_gal_structure(g)
+        fun = gs.interp.fun
+        for s in profiles(g):
+            elems = tuple(gs.element(f"S{p}", t.label) for p, t in zip(g.players, s.strategies))
+            assert fun("O", "()", elems).label == history_label(outcome(g, s))
+            for h in histories(g):
+                state = history_label(h)
+                reached = fun("O_h", state, (gs.element("H", state), *elems)).label
+                assert reached == history_label(outcome_from(g, h, s))
