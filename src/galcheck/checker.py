@@ -26,16 +26,16 @@ environment slots of its free variables (a variable has its own slot,
 polarity of an operand edge, so `!` is never an instance of its own; an
 abbreviation builds edges with `logic.ABBREVIATIONS`, the table
 `expand_abbreviations` builds nodes with.  Its errors are `check`'s, in
-`check`'s order: any `well_formed` error, then a too-deep core, then an
-out-of-range `#S:i` literal.  It then labels on demand (local model
-checking): an instance only on its care set, the states whose value its
-parent needs, starting from the states of interest `at` at the root.  A
-negated edge is the set difference of the parent's care set and the
-operand's marks.  `a -> b` labels `b` only where `a` holds; `exists`
-drops a state once an element marks it and stops when none is left; `AX`
-passes down the successors; `E[U]`/`A[U]` label the right operand on the
-forward closure of the care set and the left operand only where the
-right one fails.  Term values are likewise computed lazily, on the
+`check`'s order: any `well_formed` error, then a too-deep core, then a
+missing or foreign binding, then an out-of-range `#S:i` literal.  It
+then labels on demand (local model checking): an instance only on its
+care set, the states whose value its parent needs, starting from the
+states of interest `at` at the root.  A negated edge is the set
+difference of the parent's care set and the operand's marks.  `a -> b`
+labels `b` only where `a` holds; `exists` drops a state once an element
+marks it and stops when none is left; `AX` passes down the successors;
+`E[U]`/`A[U]` label the right operand on the forward closure of the care
+set and the left operand only where the right one fails.  Term values are likewise computed lazily, on the
 states some care set reaches.  So `galcheck check` evaluates a table
 entry only where a care set reaches it, and its stats are `check_all`'s:
 `subformulas` counts no `!` and no instance that no care set reaches,
@@ -314,12 +314,12 @@ def _valuation_check(g: GalStructure, variables: Iterable[Var]):
 
     def checked(v: Valuation | None) -> dict[Var, DomainElem]:
         v = v or {}
-        missing = [var.name for var in fv if var not in v]
+        elems = [v.get(var) for var in fv]
+        missing = [var.name for var, elem in zip(fv, elems) if elem is None]
         if missing:
             raise BindingError(f"free variables not assigned: {', '.join(missing)}")
         env: dict[Var, DomainElem] = {}
-        for var, dom in doms:
-            elem = v[var]
+        for (var, dom), elem in zip(doms, elems):
             if elem.sort != var.sort or not (0 <= elem.index < len(dom)) or dom[elem.index] != elem:
                 raise BindingError(
                     f"binding for {var.name}:{var.sort} is not an element of that sort's domain"
@@ -350,11 +350,13 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     domains.
     """
     # The only caller of `_label`; all else goes through check_all.  Returning
-    # check_all(g, f, [v])[0] here cut bimatrix-ne's wall_s 0.271 -> 0.110 s,
-    # but the run then fitted 269 rounds, not 111, and peak_rss_mb, which
-    # grows with the round count, rose 23.2 -> 30.4 MB (+31 %, bound 10 %).
-    # Once it no longer does, this can return check_all(g, f, [v])[0] and
-    # `_label` can go.
+    # check_all(g, f, [v])[0] here cut bimatrix-ne's wall_s (seed 1, 55 s)
+    # 0.232 -> 0.093 s, and a compact `_label` that keys each instance once
+    # ran a pass 1.9x faster.  But a faster check fits more rounds, and
+    # peak_rss_mb, which grows with the round count, rose 24.6 -> 33.9 MB
+    # (+38 %, bound 10 %).  So `_label`'s per-request work must not change
+    # until the benchmark stops counting rounds in peak_rss_mb; then this can
+    # return check_all(g, f, [v])[0] and `_label` can go.
     well_formed(f, g.sig)
     t0 = time.perf_counter()
     core = expand_abbreviations(f)
@@ -378,7 +380,8 @@ def check_all(
     written, as the module docstring says: each node is sort-checked, and
     its core form gets a node number, free-variable slots and `!` folded
     into operand edges, with no expanded tree built; its `#S:i` literals are
-    checked against the domains on the way.  The slots give the keys and the
+    checked against the domains on the way, and reported after the first
+    valuation's binding check.  The slots give the keys and the
     root's free variables for the binding check.  Each valuation is labeled
     with a store of its own, on demand: an instance only on its care set,
     and only on the states the store has not decided yet.  The stats count
@@ -402,14 +405,16 @@ def check_all(
     # node of its own: a formula operand is an edge (number, negated), and
     # an abbreviation builds edges straight from its operands' edges.  A
     # variable gets a slot in the environment list, and every node the
-    # slots of its free variables.  A too-deep core or an out-of-range
-    # literal is raised only once the whole formula is well formed.
+    # slots of its free variables.  A too-deep core is raised only once the
+    # whole formula is well formed, and an out-of-range literal only once
+    # the first valuation's bindings pass (or at once, given none).
     numbers: dict[tuple, int] = {}
     kinds: list[type] = []
     attrs: list[tuple] = []  # names, sorts and indices
     kids: list[tuple] = []
     free: list[frozenset[int]] = []
     slots: dict[int, int] = {}  # number of a variable -> its slot
+    variables: dict[int, Var] = {}  # number of a variable -> its first node in `f`
     out_of_range: list[tuple] = []
 
     def node(cls: type, names: tuple, *ops: tuple) -> tuple:
@@ -454,14 +459,16 @@ def check_all(
             return rewrite(core, *ops)
         if cls is Not:
             return negate(*ops)
-        return node(cls, attributes(x), *ops)
+        edge = node(cls, attributes(x), *ops)
+        if cls is Var:
+            variables.setdefault(edge[0][0], x)
+        return edge
 
     (root, negated_root), height = well_formed(f, g.sig, compile_node)
     check_depth(height)
-    if out_of_range:
-        s, index = out_of_range[0]
-        raise InterpretationError(f"#{s}:{index} is out of range for sort {s!r}")
-    free_slots = {Var(*attrs[j]): slot for j, slot in slots.items() if slot in free[root]}
+    # Keyed by `f`'s own variable nodes: a valuation built from the same
+    # nodes, as `profile_valuation`'s are, finds each binding by identity.
+    free_slots = {variables[j]: slot for j, slot in slots.items() if slot in free[root]}
     checked = _valuation_check(g, free_slots)
     # A node's key is its number, paired with the element indices in the
     # slots of its free variables when it has any.
@@ -575,6 +582,8 @@ def check_all(
     out = []
     for v in valuations:
         bindings = checked(v)
+        if out_of_range:
+            break  # `check` raises it only once the bindings pass
         env = [0] * len(slots)
         for var, elem in bindings.items():
             env[free_slots[var]] = elem.index
@@ -584,6 +593,9 @@ def check_all(
         if negated_root:
             marks = focus - marks
         out.append(_sat_set(g, f, bindings, marks, store, t0))
+    if out_of_range:
+        s, index = out_of_range[0]
+        raise InterpretationError(f"#{s}:{index} is out of range for sort {s!r}")
     return out
 
 

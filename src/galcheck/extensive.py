@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -69,7 +69,10 @@ def terminal(utilities: Mapping[str, Fraction | int]) -> GameNode:
 
 @dataclass(frozen=True)
 class ExtensiveGame:
-    """A well-formed game: construction raises `ValidationError` listing every violation."""
+    """A well-formed game: construction raises `ValidationError` listing
+    every violation.  What it derives is built once per game: `nodes` (each
+    history's node, in preorder) by the validating walk, the profile
+    variables `v<i>`, and each player's strategies on first use."""
 
     players: tuple[str, ...]
     root: GameNode
@@ -78,26 +81,14 @@ class ExtensiveGame:
         violations = self._violations()
         if violations:
             raise ValidationError(violations)
-
-    @cached_property
-    def _strategies(self) -> dict[str, list[Strategy]]:
-        """Each player's strategies, filled by `strategies` on first use."""
-        return {}
-
-    @cached_property
-    def nodes(self) -> dict[History, GameNode]:
-        """Every history's node in preorder, built once without recursion."""
-        out: dict[History, GameNode] = {}
-        stack: list[tuple[History, GameNode]] = [((), self.root)]
-        while stack:
-            h, node = stack.pop()
-            out[h] = node
-            stack.extend((h + (a,), child) for a, child in reversed(node.moves))
-        return out
+        d = self.__dict__
+        d["_strategies"] = {}
+        d["_profile_variables"] = {p: Var(f"v{p}", f"S{p}") for p in self.players}
 
     def _violations(self) -> list[str]:
-        """Every violated invariant.  Action names must be nonempty and hold
-        no `,`, so that history and strategy labels are one-to-one."""
+        """Every violated invariant, found in one walk of the raw tree that
+        also fills `self.nodes`.  Action names must be nonempty and hold no
+        `,`, so that history and strategy labels are one-to-one."""
         out: list[str] = []
         if not self.players:
             out.append("game declares no players")
@@ -105,10 +96,12 @@ class ExtensiveGame:
             out.append("duplicate player ids")
         players = set(self.players)
 
-        # The raw tree, not `self.nodes`, so both children of a duplicated action are checked.
+        # The raw tree: both children of a duplicated action are walked and checked.
+        nodes = self.__dict__["nodes"] = {}
         stack: list[tuple[History, GameNode]] = [((), self.root)]
         while stack:
             h, node = stack.pop()
+            nodes[h] = node
             where = history_label(h)
             if node.is_terminal:
                 if node.utilities is None:
@@ -362,28 +355,26 @@ def _frac_label(u: Fraction) -> str:
 # Equilibrium formulas
 
 def profile_variables(g: ExtensiveGame) -> dict[str, Var]:
-    """The free profile variables `v<i>`, one per player, valuation-bound."""
-    return {p: Var(f"v{p}", f"S{p}") for p in g.players}
+    """The free profile variables `v<i>`, one per player, valuation-bound.
+    They are the game's one set: `ne_formula`, `spe_formula` and every
+    `profile_valuation` share these nodes, so `check_all` finds each
+    binding by identity.  The dict is a copy."""
+    return dict(g._profile_variables)
 
 
 def _no_gain_by_deviation(g: ExtensiveGame) -> Formula:
     """For each player: if it is their move, no unilateral change of their
     strategy improves their utility from the current history onward."""
     vs = profile_variables(g)
+    h = App("h")
+    kept = App("O_h", (h, *(vs[p] for p in g.players)))
     conjuncts = []
     for i in g.players:
         w = Var(f"w{i}", f"S{i}")
-        kept = (App("h"), *(vs[p] for p in g.players))
-        swapped = (App("h"), *(w if p == i else vs[p] for p in g.players))
-        body = Pred(
-            "ge",
-            (App(f"u{i}", (App("O_h", kept),)), App(f"u{i}", (App("O_h", swapped),))),
-        )
+        swapped = App("O_h", (h, *(w if p == i else vs[p] for p in g.players)))
+        body = Pred("ge", (App(f"u{i}", (kept,)), App(f"u{i}", (swapped,))))
         conjuncts.append(Implies(PlayerAtom(i), Forall(w, body)))
-    out = conjuncts[0]
-    for c in conjuncts[1:]:
-        out = And(out, c)
-    return out
+    return reduce(And, conjuncts)
 
 
 def spe_formula(g: ExtensiveGame) -> Formula:
@@ -396,18 +387,13 @@ def ne_formula(g: ExtensiveGame) -> Formula:
     """Holds at the root under a profile valuation iff the profile is
     optimal for the mover along its own outcome path."""
     vs = profile_variables(g)
-    on_outcome = Pred(
-        "onpath", (App("h"), App("O", tuple(vs[p] for p in g.players)))
-    )
+    on_outcome = Pred("onpath", (App("h"), App("O", tuple(vs[p] for p in g.players))))
     return EG(And(on_outcome, _no_gain_by_deviation(g)))
 
 
 def profile_valuation(gs: GalStructure, g: ExtensiveGame, s: StrategyProfile) -> Valuation:
     vs = profile_variables(g)
-    return {
-        vs[p]: gs.element(f"S{p}", strat.label)
-        for p, strat in zip(g.players, s.strategies)
-    }
+    return {vs[p]: gs.element(f"S{p}", t.label) for p, t in zip(g.players, s.strategies)}
 
 
 # --------------------------------------------------------------------------- #

@@ -628,6 +628,18 @@ def test_check_all_raises_what_check_raises(example_structure):
     with pytest.raises(InterpretationError) as together:
         check_all(example_structure, unreached, [{}], at=["()"])
     assert str(together.value) == str(alone.value)
+    # also given no valuation at all
+    with pytest.raises(InterpretationError) as together:
+        check_all(example_structure, out_of_range, [])
+    assert str(together.value) == str(alone.value)
+
+    # a missing binding is reported before an out-of-range literal, as `check` does
+    both = And(out_of_range, onpath)
+    with pytest.raises(BindingError) as alone:
+        check(example_structure, both, {})
+    with pytest.raises(BindingError) as together:
+        check_all(example_structure, both, [{}])
+    assert str(together.value) == str(alone.value)
 
 
 # Ill-formed formulas on the worked example's signature: one fault each.

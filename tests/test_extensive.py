@@ -25,6 +25,7 @@ from galcheck.extensive import (
     outcome_from,
     profile_count,
     profile_valuation,
+    profile_variables,
     profiles,
     spe_formula,
     strategies,
@@ -32,7 +33,7 @@ from galcheck.extensive import (
     to_gal_structure,
     utility,
 )
-from galcheck.logic import App, Var, free_variables
+from galcheck.logic import App, Var, free_variables, post_order
 from galcheck.structure import eval_term
 
 from _helpers import random_game
@@ -234,6 +235,26 @@ def test_spe_formula_one_player():
 def test_ne_formula_free_variables(example_game):
     f = ne_formula(example_game)
     assert free_variables(f) == {Var("v1", "S1"), Var("v2", "S2")}
+
+
+def test_formulas_and_valuations_share_the_games_profile_variables(example_game, example_structure):
+    g = example_game
+    vs = profile_variables(g)
+    assert vs == {"1": Var("v1", "S1"), "2": Var("v2", "S2")}
+    for f in (ne_formula(g), spe_formula(g)):
+        # post_order visits each distinct node object once
+        found = [x for x, _ in post_order(f) if type(x) is Var and x.name.startswith("v")]
+        assert len(found) == 2 and all(x is vs[x.name[1:]] for x in found)
+    for s in profiles(g):
+        v = profile_valuation(example_structure, g, s)
+        assert [var for var in v] == [vs["1"], vs["2"]]
+        assert all(var is vs[var.name[1:]] for var in v)
+    # the caller's dict is a copy: changing it changes no later call
+    vs["1"] = Var("x", "S1")
+    del vs["2"]
+    again = profile_variables(g)
+    assert list(again) == ["1", "2"] and again["1"] is not vs["1"]
+    assert all(again[p] is profile_variables(g)[p] for p in g.players)
 
 
 def test_ne_formula_paper_valuations(example_game, example_structure):
