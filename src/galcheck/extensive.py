@@ -8,9 +8,10 @@ fixes strategy enumeration order, tie-breaking, and all serialized output.
 
 The structure encoding turns each history into a state: sort H holds all
 histories, T the terminal ones, U the occurring utility values, and one sort
-per player holds that player's strategies.  The state-dependent 0-ary
+per player i, `S<i>`, holds i's strategies.  The state-dependent 0-ary
 function `h` designates the state's own history; `u<i>`, `O`, `O_h`, the
-comparison `ge` on U, and the prefix predicate `onpath` are rigid.
+comparison `ge` on U, and the prefix predicate `onpath` are rigid.  A player
+id equal to any of these names is a `SortError` from the `Signature`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .checker import check_all
-from .errors import SortError, ValidationError
+from .errors import ValidationError
 from .logic import (
     AG,
     EG,
@@ -255,15 +256,9 @@ def profiles(g: ExtensiveGame) -> Iterator[StrategyProfile]:
 # --------------------------------------------------------------------------- #
 # Structure encoding
 
-_FIXED_SYMBOLS = ("h", "O", "O_h", "ge", "onpath", "H", "T", "U")
-
 
 def to_gal_structure(g: ExtensiveGame) -> GalStructure:
     """Encode the game as a structure whose states are the histories."""
-    for p in g.players:
-        if p in _FIXED_SYMBOLS or f"u{p}" in _FIXED_SYMBOLS:
-            raise SortError(f"player id {p!r} collides with a generated symbol name")
-
     states, terms, actions = [], [], []
     players_at, by_label, utils_seen = {}, {}, set()
     for h, node in g.nodes.items():

@@ -24,8 +24,6 @@ _LINES = (
     (0, 4, 8), (2, 4, 6),             # diagonals
 )
 
-RNG_NAME = "splitmix64-mod-v1"
-
 
 @dataclass(frozen=True)
 class Board:
@@ -195,26 +193,20 @@ def tictactoe_structure(px: Policy, po: Policy) -> GalStructure:
                 states.append(child.cells)
                 frontier.append(child)
 
+    holds = {
+        "winX": lambda b: b.winner() == "X",
+        "winO": lambda b: b.winner() == "O",
+        "Draw": lambda b: b.is_full and b.winner() is None,
+    }
     sig = Signature(
         sorts=(),
         functions={},
-        predicates={
-            "winX": PredDecl(()),
-            "winO": PredDecl(()),
-            "Draw": PredDecl(()),
-        },
+        predicates={name: PredDecl(()) for name in holds},
         players=("X", "O"),
     )
 
     def pred_eval(name: str, state: str, args: tuple[str, ...]) -> bool:
-        b = Board(state)
-        if name == "winX":
-            return b.winner() == "X"
-        if name == "winO":
-            return b.winner() == "O"
-        if name == "Draw":
-            return b.is_full and b.winner() is None
-        raise ValueError(f"unknown predicate {name!r}")
+        return holds[name](Board(state))
 
     def fun_eval(name: str, state: str, args: tuple[str, ...]) -> str:
         raise ValueError(f"unknown function {name!r}")

@@ -43,12 +43,6 @@ from .errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 # --------------------------------------------------------------------------- #
 # Signature
 
-# E, A, and U are contextual (E/A only introduce an until when followed by
-# '['; U only separates the two until operands), so they stay declarable.
-RESERVED_WORDS = frozenset(
-    {"true", "false", "exists", "forall", "EX", "AX", "EF", "AF", "EG", "AG"}
-)
-
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _PLAYER_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -87,7 +81,7 @@ class Signature:
         self._check()
 
     def _check(self) -> None:
-        names: dict[str, str] = {}
+        self.names: dict[str, str] = {}  # each declared name -> its kind
         for kind, group in (
             ("sort", self.sorts),
             ("function", self.functions),
@@ -95,9 +89,9 @@ class Signature:
             ("player", self.players),
         ):
             for name in group:
-                if name in names:
-                    raise SortError(f"name {name!r} declared as both {names[name]} and {kind}")
-                names[name] = kind
+                if name in self.names:
+                    raise SortError(f"name {name!r} declared as both {self.names[name]} and {kind}")
+                self.names[name] = kind
         for name in set(self.sorts) | set(self.functions) | set(self.predicates):
             if not _IDENT_RE.match(name):
                 raise SortError(f"{name!r} is not a valid identifier")
@@ -330,6 +324,15 @@ class Exists(Formula):
 class Forall(Formula):
     var: Var
     body: Formula
+
+
+_MODALITIES = {"EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}
+
+# E, A, and U are contextual (E/A only introduce an until when followed by
+# '['; U only separates the two until operands), so they stay declarable.
+RESERVED_WORDS = frozenset(
+    {"true", "false", "exists", "forall", *_MODALITIES}
+)
 
 
 @dataclass(frozen=True)
@@ -599,7 +602,7 @@ _LVL_AND = 3
 _LVL_NOT = 4
 _LVL_ATOM = 5
 
-_MODALITY_WORD = {EX: "EX", AX: "AX", EF: "EF", AF: "AF", EG: "EG", AG: "AG"}
+_MODALITY_WORD = {cls: word for word, cls in _MODALITIES.items()}
 
 
 def _pretty_term(t: Term, bound: frozenset[str]) -> str:
@@ -638,7 +641,7 @@ def pretty(f: Formula) -> str:
         elif isinstance(g, Implies):
             left, right = go(g.left, _LVL_IMPLIES + 1, bound), go(g.right, _LVL_IMPLIES, bound)
             text, level = f"{left} -> {right}", _LVL_IMPLIES
-        elif isinstance(g, (EX, AX, EF, AF, EG, AG)):
+        elif type(g) in _MODALITY_WORD:
             text, level = f"{_MODALITY_WORD[type(g)]} {go(g.body, 0, bound)}", 0
         elif isinstance(g, EU):
             text, level = f"E[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
@@ -698,8 +701,7 @@ class _Parser:
         self.i = 0
         # Names already present anywhere; used to pick fresh names when a
         # shadowed binder is renamed.
-        self.used = {t.value for t in self.toks if t.kind == "IDENT"}
-        self.used |= sig.sorts | set(sig.functions) | set(sig.predicates) | set(sig.players)
+        self.used = set(sig.names).union(t.value for t in self.toks if t.kind == "IDENT")
         self.free: dict[str, Var] = {}
 
     # -- token helpers ------------------------------------------------------
@@ -761,10 +763,10 @@ class _Parser:
             return Not(self.unary(scope))
         if t.kind == "IDENT":
             word = t.value
-            if word in ("EX", "AX", "EF", "AF", "EG", "AG"):
+            if word in _MODALITIES:
                 self.next()
                 body = self.formula(scope)  # modalities bind their whole suffix
-                return {"EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}[word](body)
+                return _MODALITIES[word](body)
             if word in ("E", "A") and self.toks[self.i + 1].value == "[":
                 self.next()
                 self.expect("[")
@@ -785,7 +787,7 @@ class _Parser:
         name = name_tok.value
         if name in RESERVED_WORDS:
             raise ParseError(f"{name!r} is a reserved word", name_tok.pos)
-        if self._declared(name):
+        if name in self.sig.names:
             raise ParseError(f"variable {name!r} collides with a declared symbol", name_tok.pos)
         self.expect(":")
         sort_tok = self.next()
@@ -873,7 +875,7 @@ class _Parser:
             sort_tok = self.next()
             if sort_tok.kind != "IDENT" or sort_tok.value not in self.sig.sorts:
                 raise UnknownIdentifierError(f"unknown sort {sort_tok.value!r}")
-            if self._declared(name):
+            if name in self.sig.names:
                 raise ParseError(f"variable {name!r} collides with a declared symbol", t.pos)
             prev = self.free.get(name)
             if prev is not None and prev.sort != sort_tok.value:
@@ -884,14 +886,6 @@ class _Parser:
         if name in self.free:
             return self.free[name]
         raise UnknownIdentifierError(f"unknown identifier {name!r}")
-
-    def _declared(self, name: str) -> bool:
-        return (
-            name in self.sig.sorts
-            or name in self.sig.functions
-            or name in self.sig.predicates
-            or name in self.sig.players
-        )
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -54,14 +54,7 @@ class InterpretationProvider:
         hit = self._funs.get(key)
         if hit is not None:
             return hit
-        try:
-            out = self.fun_eval(name, state, labels)
-        except InterpretationError:
-            raise
-        except Exception as exc:  # surface the term/state context
-            raise InterpretationError(
-                f"function {name!r} failed at state {state!r} on {labels!r}: {exc}"
-            ) from exc
+        out = self._raw("function", name, state, labels)
         elem = self._by_label.get(decl.result, {}).get(out)
         if elem is None:
             raise InterpretationError(
@@ -78,16 +71,22 @@ class InterpretationProvider:
         hit = self._preds.get(key)
         if hit is not None:
             return hit
-        try:
-            out = bool(self.pred_eval(name, state, labels))
-        except InterpretationError:
-            raise
-        except Exception as exc:
-            raise InterpretationError(
-                f"predicate {name!r} failed at state {state!r} on {labels!r}: {exc}"
-            ) from exc
+        out = self._raw("predicate", name, state, labels)
         self._preds[key] = out
         return out
+
+    def _raw(self, kind: str, name: str, state: str, labels: tuple[str, ...]):
+        """A memo miss: the raw callback's answer, its failures raised as InterpretationError."""
+        try:
+            if kind == "function":
+                return self.fun_eval(name, state, labels)
+            return bool(self.pred_eval(name, state, labels))
+        except InterpretationError:
+            raise
+        except Exception as exc:  # surface the term/state context
+            raise InterpretationError(
+                f"{kind} {name!r} failed at state {state!r} on {labels!r}: {exc}"
+            ) from exc
 
 
 class GalStructure:

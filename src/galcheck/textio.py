@@ -135,11 +135,9 @@ def load_structure(data: bytes | str) -> GalStructure:
             if p not in players:
                 raise SchemaError(f"undeclared player {p!r}", f"{path}/players")
         players_at[sid] = ps
-        state_funcs[sid] = _func_tables(st.get("funcs", {}), functions, domains, False, f"{path}/funcs")
-        state_preds[sid] = _pred_tables(st.get("preds", {}), predicates, domains, False, f"{path}/preds")
+        state_funcs[sid], state_preds[sid] = _tables(st, sig, domains, False, path)
 
-    rigid_funcs = _func_tables(rigid_obj["funcs"], functions, domains, True, "/rigid/funcs")
-    rigid_preds = _pred_tables(rigid_obj["preds"], predicates, domains, True, "/rigid/preds")
+    rigid_funcs, rigid_preds = _tables(rigid_obj, sig, domains, True, "/rigid")
 
     known = set(state_ids)
     actions: list[tuple[str, str]] = []
@@ -172,61 +170,50 @@ def load_structure(data: bytes | str) -> GalStructure:
     )
 
 
-def _func_tables(
-    obj: Any,
-    functions: Mapping[str, FuncDecl],
-    domains: Mapping[str, list[str]],
-    rigid: bool,
-    path: str,
-) -> dict[str, dict[tuple[str, ...], str]]:
-    out: dict[str, dict[tuple[str, ...], str]] = {}
-    for name, table in _as_obj(obj, path).items():
-        decl = functions.get(name)
-        if decl is None:
-            raise SchemaError(f"table for undeclared function {name!r}", path)
-        if decl.rigid != rigid:
-            where = "rigid section" if decl.rigid else "state entries"
-            raise SchemaError(f"function {name!r} must be interpreted in the {where}", path)
-        entries: dict[tuple[str, ...], str] = {}
-        for key, value in _as_obj(table, f"{path}/{name}").items():
-            args = _split_argskey(key, decl.args, domains, f"{path}/{name}")
-            value = _as_str(value, f"{path}/{name}")
-            if value not in domains[decl.result]:
-                raise SchemaError(
-                    f"value {value!r} is not an element of sort {decl.result!r}", f"{path}/{name}"
-                )
-            entries[args] = value
-        out[name] = entries
-    return out
+def _tables(obj: dict, sig: Signature, domains: Mapping[str, list[str]], rigid: bool, path: str) -> tuple:
+    """The "funcs" and "preds" sections of a state entry or, if `rigid`, of
+    the rigid section, each symbol checked and then read by its kind's reader."""
+    funcs: dict[str, dict[tuple[str, ...], str]] = {}
+    preds: dict[str, set[tuple[str, ...]]] = {}
+    for tables, section, kind, decls, read in (
+        (funcs, "funcs", "function", sig.functions, _func_entries),
+        (preds, "preds", "predicate", sig.predicates, _pred_rows),
+    ):
+        at = f"{path}/{section}"
+        for name, table in _as_obj(obj.get(section, {}), at).items():
+            decl = decls.get(name)
+            if decl is None:
+                raise SchemaError(f"table for undeclared {kind} {name!r}", at)
+            if decl.rigid != rigid:
+                where = "rigid section" if decl.rigid else "state entries"
+                raise SchemaError(f"{kind} {name!r} must be interpreted in the {where}", at)
+            tables[name] = read(table, decl, domains, f"{at}/{name}")
+    return funcs, preds
 
 
-def _pred_tables(
-    obj: Any,
-    predicates: Mapping[str, PredDecl],
-    domains: Mapping[str, list[str]],
-    rigid: bool,
-    path: str,
-) -> dict[str, set[tuple[str, ...]]]:
-    out: dict[str, set[tuple[str, ...]]] = {}
-    for name, rows in _as_obj(obj, path).items():
-        decl = predicates.get(name)
-        if decl is None:
-            raise SchemaError(f"table for undeclared predicate {name!r}", path)
-        if decl.rigid != rigid:
-            where = "rigid section" if decl.rigid else "state entries"
-            raise SchemaError(f"predicate {name!r} must be interpreted in the {where}", path)
-        relation: set[tuple[str, ...]] = set()
-        for k, row in enumerate(_as_list(rows, f"{path}/{name}")):
-            row = _as_list(row, f"{path}/{name}/{k}")
-            if len(row) != len(decl.args):
-                raise SchemaError(f"expected {len(decl.args)} arguments", f"{path}/{name}/{k}")
-            labels = tuple(_as_str(x, f"{path}/{name}/{k}") for x in row)
-            for lab, sort in zip(labels, decl.args):
-                if lab not in domains[sort]:
-                    raise SchemaError(f"{lab!r} is not an element of sort {sort!r}", f"{path}/{name}/{k}")
-            relation.add(labels)
-        out[name] = relation
-    return out
+def _func_entries(table: Any, decl: FuncDecl, domains: Mapping[str, list[str]], path: str) -> dict:
+    entries: dict[tuple[str, ...], str] = {}
+    for key, value in _as_obj(table, path).items():
+        args = _split_argskey(key, decl.args, domains, path)
+        value = _as_str(value, path)
+        if value not in domains[decl.result]:
+            raise SchemaError(f"value {value!r} is not an element of sort {decl.result!r}", path)
+        entries[args] = value
+    return entries
+
+
+def _pred_rows(rows: Any, decl: PredDecl, domains: Mapping[str, list[str]], path: str) -> set:
+    relation: set[tuple[str, ...]] = set()
+    for k, row in enumerate(_as_list(rows, path)):
+        row = _as_list(row, f"{path}/{k}")
+        if len(row) != len(decl.args):
+            raise SchemaError(f"expected {len(decl.args)} arguments", f"{path}/{k}")
+        labels = tuple(_as_str(x, f"{path}/{k}") for x in row)
+        for lab, sort in zip(labels, decl.args):
+            if lab not in domains[sort]:
+                raise SchemaError(f"{lab!r} is not an element of sort {sort!r}", f"{path}/{k}")
+        relation.add(labels)
+    return relation
 
 
 def _split_argskey(
@@ -415,7 +402,7 @@ def load_bimatrix(data: bytes | str) -> Bimatrix:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError("expected an integer", f"/{field_name}")
     if m < 1 or n < 1:
-        raise SchemaError("action counts must be >= 1", "/m")
+        raise SchemaError("action counts must be >= 1", "/m" if m < 1 else "/n")
 
     def table(which: str) -> tuple[tuple[int, ...], ...]:
         rows = _as_list(doc[which], f"/{which}")

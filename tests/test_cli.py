@@ -250,6 +250,18 @@ def _terminal(u1, u2):
     return {"utilities": {"1": u1, "2": u2}}
 
 
+def test_eq_player_colliding_with_a_generated_name_exit2(tmp_path, capsys):
+    # "h" is the encoding's history function; "u1" is player 1's utility function
+    for players in (["h"], ["1", "u1"]):
+        path = tmp_path / "collide.game.json"
+        root = {"player": players[0], "moves": {"a": {"utilities": {p: 0 for p in players}}}}
+        path.write_text(json.dumps({"players": players, "root": root}))
+        code, out, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "ne")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and not err.startswith("error: internal")
+        assert f"{players[-1]!r}" in err
+
+
 def test_eq_comma_action_names_the_action(tmp_path, capsys):
     # labels join actions with ",": (a,b) would name two histories
     path = tmp_path / "comma.game.json"

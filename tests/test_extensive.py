@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galcheck.checker import holds_at
-from galcheck.errors import ValidationError
+from galcheck.errors import SortError, ValidationError
 from galcheck.extensive import (
     EquilibriumConcept,
     ExtensiveGame,
@@ -185,6 +185,18 @@ def test_structure_depth0(depth0):
     assert len(gs.states) == 1
     assert gs.actions == ()
     assert gs.players_at[gs.states[0]] == frozenset()
+
+
+# Generated names: sorts H, T, U and S<i>, functions h, O, O_h and u<i>,
+# predicates ge and onpath.
+@pytest.mark.parametrize(
+    "players",
+    [("h",), ("O",), ("O_h",), ("ge",), ("onpath",), ("H",), ("T",), ("U",), ("1", "S1"), ("1", "u1")],
+)
+def test_player_ids_colliding_with_generated_names_are_sort_errors(players):
+    g = ExtensiveGame(players, decision(players[0], {"a": terminal({p: 0 for p in players})}))
+    with pytest.raises(SortError):
+        to_gal_structure(g)
 
 
 def test_structure_history_designator(example_structure):

@@ -175,6 +175,36 @@ def test_binder_must_not_shadow_declared_symbol(sig):
         parse_formula("exists a:S . p(a)", sig)
 
 
+@pytest.fixture(scope="module")
+def named_player_sig():
+    return Signature(
+        sorts={"S"},
+        functions={"a": FuncDecl((), "S")},
+        predicates={"p": PredDecl(()), "q": PredDecl(("S",))},
+        players=("P",),
+    )
+
+
+@pytest.mark.parametrize("name", ["S", "p", "P"])  # a sort, a predicate, a player
+@pytest.mark.parametrize("text", ["exists {0}:S . q({0})", "q({0}:S)"])
+def test_variable_named_after_a_declared_symbol_is_a_parse_error(named_player_sig, name, text):
+    with pytest.raises(ParseError, match=f"variable '{name}' collides with a declared symbol"):
+        parse_formula(text.format(name), named_player_sig)
+
+
+def test_renamed_binder_skips_every_declared_name():
+    sig = Signature(
+        sorts={"S", "x_5"},
+        functions={"x_2": FuncDecl((), "S")},
+        predicates={"x_3": PredDecl(()), "q": PredDecl(("S",))},
+        players=("x_4",),
+    )
+    f = parse_formula("exists x:S . exists x:S . q(x)", sig)
+    assert f.var.name == "x"
+    assert f.body.var.name == "x_6"
+    assert f.body.body == Pred("q", (f.body.var,))
+
+
 def test_zero_ary_predicate_accepts_optional_parens(sig):
     assert parse_formula("winX()", sig) == Pred("winX")
 

@@ -185,6 +185,15 @@ def test_bimatrix_roundtrip():
     assert load_bimatrix(dump_bimatrix(b)) == b
 
 
+@pytest.mark.parametrize("field", ["m", "n"])
+def test_bimatrix_action_count_below_one_names_its_field(field):
+    doc = {"m": 1, "n": 1, "u1": [[0]], "u2": [[0]], "seed": 0, field: 0}
+    with pytest.raises(SchemaError) as err:
+        load_bimatrix(json.dumps(doc))
+    assert err.value.path == f"/{field}"
+    assert str(err.value) == f"/{field}: action counts must be >= 1"
+
+
 def test_bimatrix_rejects_ragged_rows():
     doc = {"m": 2, "n": 2, "u1": [[1, 2], [3]], "u2": [[0, 0], [0, 0]], "seed": 0}
     with pytest.raises(SchemaError) as err:
