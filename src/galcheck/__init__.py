@@ -42,14 +42,12 @@ from .gamegen import (
 from .logic import (
     DomainElem,
     Formula,
-    FormulaMetrics,
     FuncDecl,
     PredDecl,
     Signature,
     Var,
     expand_abbreviations,
     free_variables,
-    metrics,
     parse_formula,
     pretty,
     substitute,

@@ -7,11 +7,11 @@ to time pure-equilibrium enumeration over generated tables.
 Machine-readable output (JSON or CSV) goes to standard output or the -o
 file; diagnostics go to standard error.  Exit codes: 0 success (for
 `check`: every initial state satisfies the formula), 1 a `check` whose
-formula fails on some initial state, 2 usage/input errors (including an
-input file nested too deeply to read, and a formula nested deeper than
-`logic.MAX_DEPTH` or too deep to parse), 3 an internal cross-check
-disagreement in `eq`, 4 an internal failure (a defect), reported on one
-line as `error: internal: ...`.
+formula fails on some initial state, 2 usage/input errors, by the error's
+type (including an input file nested too deeply to read, and a formula
+nested deeper than `logic.MAX_DEPTH`), 3 an internal cross-check
+disagreement in `eq`, 4 an internal failure (a defect, such as a bare
+`ValueError`), reported on one line as `error: internal: ...`.
 
 `check` runs `checker.check_all` with the one `--bind` valuation, so a
 table entry is evaluated only where a care set reaches it, and the printed
@@ -98,10 +98,12 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = load_structure(Path(args.model).read_bytes())
-    if args.formula is not None:
-        text = args.formula
-    else:
-        text = Path(args.formula_file).read_text(encoding="utf-8")
+    text = args.formula
+    if text is None:
+        try:
+            text = Path(args.formula_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"formula file is not UTF-8: {exc.reason} at byte {exc.start}") from None
     formula = parse_formula(text, g.sig)
 
     by_name = {var.name: var for var in free_variables(formula)}
@@ -166,6 +168,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"generated in {millis:.1f} ms", file=sys.stderr)
         return 0
     if args.generator == "random-2p":
+        if min(args.m, args.n, args.bound) < 1:
+            raise _UsageError("--m, --n and --bound must be >= 1")
         b = random_bimatrix(args.m, args.n, args.bound, args.seed)
         Path(args.output).write_bytes(dump_bimatrix(b))
         print(json.dumps({"m": b.m, "n": b.n, "cells": b.m * b.n}))
@@ -278,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (_UsageError, GalcheckError, ValueError, OSError) as exc:
+    except (_UsageError, GalcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never exit 1 ("formula false") on a failure

@@ -20,13 +20,14 @@ sort annotation `x:S`; later occurrences may omit it.  `#S:3` denotes the
 fourth element of sort S's domain enumeration; such literals are normally
 introduced only by substitution.
 
-Nodes store their hash and height when built, so neither recurses.
-`free_variables`, `expand_abbreviations` and `well_formed` walk without
-recursion, keyed by node id, and cache nothing between calls.  Expansion
-rejects a core formula deeper than MAX_DEPTH, which keeps what recurses
-after it (labelling, node equality, term evaluation, `pretty`) within
-Python's recursion limit.  `checker.check_all` compiles a formula in
-`well_formed`'s walk, with `ABBREVIATIONS` and `check_depth`.
+Nodes store their hash and height when built, so neither recurses.  The
+parser, `free_variables`, `expand_abbreviations` and `well_formed` keep
+their own stacks and cache nothing between calls.  A tree deeper than
+MAX_DEPTH as written does not parse, nor does one whose core form is
+deeper expand, which keeps what recurses (labelling, node equality, term
+evaluation, `pretty`) within Python's recursion limit.  `checker.check_all`
+compiles a formula in `well_formed`'s walk, with `ABBREVIATIONS` and
+`check_depth`.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Signature:
                 if name in self.names:
                     raise SortError(f"name {name!r} declared as both {self.names[name]} and {kind}")
                 self.names[name] = kind
-        for name in set(self.sorts) | set(self.functions) | set(self.predicates):
+        for name in sorted({*self.sorts, *self.functions, *self.predicates}):
             if not _IDENT_RE.match(name):
                 raise SortError(f"{name!r} is not a valid identifier")
             if name in RESERVED_WORDS:
@@ -138,8 +139,7 @@ def _node(cls):
     the tree.  A node without operands is one level high."""
 
     def __post_init__(self):
-        # Only C code runs here: the parser builds nodes at its deepest
-        # frames.  The fields are all that `__dict__` holds yet.
+        # The fields are all that `__dict__` holds yet.
         d = self.__dict__
         d["_hash"] = hash(tuple(d.values()))
         if in_args:
@@ -335,12 +335,6 @@ RESERVED_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class FormulaMetrics:
-    modal_count: int
-    quantifier_count: int
-
-
 # --------------------------------------------------------------------------- #
 # Node shape
 
@@ -468,11 +462,12 @@ ABBREVIATIONS = {
 _CORE_NODES = SimpleNamespace(Top=Top, Not=Not, Implies=Implies, AX=AX, EU=EU, AU=AU, Exists=Exists)
 
 
-# The deepest core formula `expand_abbreviations` accepts; a node without
-# operands is one level.  Labelling, node equality, term evaluation and
-# `pretty` take a frame per level: at this depth, under pytest, they need a
-# recursion limit of about 450 of the default 1000.  Every formula that
-# could be checked before this bound existed is at most about 330 deep.
+# The deepest tree the parser builds, and the deepest core formula
+# `expand_abbreviations` accepts; a node without operands is one level.
+# Labelling, node equality, term evaluation and `pretty` take a frame per
+# level: at this depth, under pytest, they need a recursion limit of about
+# 450 of the default 1000.  Every formula that could be checked before this
+# bound existed is at most about 330 deep.
 MAX_DEPTH = 400
 
 
@@ -507,21 +502,6 @@ def expand_abbreviations(f: Formula) -> Formula:
         check_depth(y._height)
         core[id(x)] = y
     return core[id(f)]
-
-
-def metrics(f: Formula) -> FormulaMetrics:
-    """Modal and quantifier connective counts of the expanded core form."""
-    modal = 0
-    quant = 0
-    stack = [expand_abbreviations(f)]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (AX, EU, AU)):
-            modal += 1
-        elif isinstance(g, Exists):
-            quant += 1
-        stack.extend(operands(g))
-    return FormulaMetrics(modal, quant)
 
 
 _NO_NAMES: frozenset[str] = frozenset()
@@ -694,7 +674,16 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
+# Binary operators, and the open constructs each closes after an operand
+# (another token closes all four): `->` groups to the right, the rest left.
+_BINARY = {"&": And, "|": Or, "->": Implies}
+_CLOSED_BY = {"&": ("!", "&"), "|": ("!", "&", "|"), "->": ("!", "&", "|")}
+
+
 class _Parser:
+    """One loop over the tokens with a stack of the open constructs, so no
+    method recurses (operator precedence, after Pratt 1973)."""
+
     def __init__(self, text: str, sig: Signature):
         self.sig = sig
         self.toks = _lex(text)
@@ -704,185 +693,194 @@ class _Parser:
         self.used = set(sig.names).union(t.value for t in self.toks if t.kind == "IDENT")
         self.free: dict[str, Var] = {}
 
-    # -- token helpers ------------------------------------------------------
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
     def next(self) -> _Tok:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, value: str, what: str | None = None) -> _Tok:
+    def expect(self, value: str, what: str | None = None) -> None:
         t = self.next()
         if t.value != value:
             raise ParseError(f"found {t.value or 'end of input'!r}", t.pos, what or repr(value))
-        return t
-
-    def at_sym(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind in ("SYM", "ARROW") and t.value == value
 
     def eat_sym(self, value: str) -> bool:
-        if self.at_sym(value):
+        # A symbol's token is its text, which no identifier or number is.
+        if self.toks[self.i].value == value:
             self.i += 1
             return True
         return False
 
-    # -- grammar ------------------------------------------------------------
+    def sort(self) -> str:
+        t = self.next()
+        if t.value not in self.sig.sorts:
+            raise UnknownIdentifierError(f"unknown sort {t.value!r}")
+        return t.value
+
+    def node(self, pos: int, cls: type, *ops) -> Formula:
+        """`cls(*ops)`; deeper than MAX_DEPTH, a ParseError at `pos`."""
+        f = cls(*ops)
+        if f._height > MAX_DEPTH:
+            raise ParseError("formula is nested too deeply", pos)
+        return f
 
     def parse(self) -> Formula:
-        f = self.formula({})
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"trailing input {t.value!r}", t.pos)
-        return f
+        # The open constructs, innermost last, each (what closes it, where it
+        # starts, its node class, its operands so far, the scope outside it).
+        # "!" and a binary operator close once an operand follows them, a
+        # modality or quantifier (None) when its formula ends, "(" at ")",
+        # and E[ or A[ at "U" and then at "]".
+        stack: list[tuple] = []
+        scope: dict[str, Var] = {}
+        while True:
+            while True:  # open the prefixes of one unary
+                t = self.next()
+                word = t.value
+                if word == "!":
+                    stack.append(("!", t.pos, Not, (), scope))
+                elif word == "(":
+                    stack.append((")", t.pos, None, (), scope))
+                elif word in _MODALITIES:  # binds its whole suffix
+                    stack.append((None, t.pos, _MODALITIES[word], (), scope))
+                elif word in ("E", "A") and self.eat_sym("["):
+                    stack.append(("U", t.pos, EU if word == "E" else AU, (), scope))
+                elif word == "exists" or word == "forall":
+                    var, inner = self.binder(scope)
+                    stack.append((None, t.pos, Exists if word == "exists" else Forall, (var,), scope))
+                    scope = inner
+                else:
+                    self.i -= 1  # `t` starts the atom
+                    break
+            f = self.atom(scope)
+            while True:  # close what `f` completes, up to the next operand
+                t = self.toks[self.i]
+                closes = _CLOSED_BY.get(t.value, ("!", "&", "|", "->"))
+                while stack and stack[-1][0] in closes:
+                    _, pos, cls, ops, _ = stack.pop()
+                    f = self.node(pos, cls, *ops, f)
+                if t.value in _BINARY:
+                    self.i += 1
+                    stack.append((t.value, t.pos, _BINARY[t.value], (f,), scope))
+                    break
+                if not stack:  # `f` is the whole formula
+                    if t.kind != "EOF":
+                        raise ParseError(f"trailing input {t.value!r}", t.pos)
+                    return f
+                kind, pos, cls, ops, scope = stack.pop()  # it opened the formula `f`
+                if kind == "U":
+                    self.expect("U", "'U' between the until operands")
+                    stack.append(("]", pos, cls, (f,), scope))
+                    break
+                if kind:
+                    self.expect(kind)
+                if cls:
+                    f = self.node(pos, cls, *ops, f)
 
-    def formula(self, scope: dict[str, Var]) -> Formula:
-        left = self.disjunction(scope)
-        if self.eat_sym("->"):
-            return Implies(left, self.formula(scope))
-        return left
-
-    def disjunction(self, scope: dict[str, Var]) -> Formula:
-        f = self.conjunction(scope)
-        while self.eat_sym("|"):
-            f = Or(f, self.conjunction(scope))
-        return f
-
-    def conjunction(self, scope: dict[str, Var]) -> Formula:
-        f = self.unary(scope)
-        while self.eat_sym("&"):
-            f = And(f, self.unary(scope))
-        return f
-
-    def unary(self, scope: dict[str, Var]) -> Formula:
-        t = self.peek()
-        if self.eat_sym("!"):
-            return Not(self.unary(scope))
-        if t.kind == "IDENT":
-            word = t.value
-            if word in _MODALITIES:
-                self.next()
-                body = self.formula(scope)  # modalities bind their whole suffix
-                return _MODALITIES[word](body)
-            if word in ("E", "A") and self.toks[self.i + 1].value == "[":
-                self.next()
-                self.expect("[")
-                left = self.formula(scope)
-                self.expect("U", "'U' between the until operands")
-                right = self.formula(scope)
-                self.expect("]")
-                return EU(left, right) if word == "E" else AU(left, right)
-            if word in ("exists", "forall"):
-                return self.quantifier(scope)
-        return self.atom(scope)
-
-    def quantifier(self, scope: dict[str, Var]) -> Formula:
-        kw = self.next().value
-        name_tok = self.next()
-        if name_tok.kind != "IDENT":
-            raise ParseError(f"found {name_tok.value!r}", name_tok.pos, "a variable name")
-        name = name_tok.value
+    def binder(self, scope: dict[str, Var]) -> tuple[Var, dict[str, Var]]:
+        """Read `x:S .` after a quantifier: its variable, renamed if it would
+        be bound twice or capture a free variable, and its body's scope."""
+        t = self.next()
+        if t.kind != "IDENT":
+            raise ParseError(f"found {t.value!r}", t.pos, "a variable name")
+        name = t.value
         if name in RESERVED_WORDS:
-            raise ParseError(f"{name!r} is a reserved word", name_tok.pos)
+            raise ParseError(f"{name!r} is a reserved word", t.pos)
         if name in self.sig.names:
-            raise ParseError(f"variable {name!r} collides with a declared symbol", name_tok.pos)
+            raise ParseError(f"variable {name!r} collides with a declared symbol", t.pos)
         self.expect(":")
-        sort_tok = self.next()
-        if sort_tok.kind != "IDENT" or sort_tok.value not in self.sig.sorts:
-            raise UnknownIdentifierError(f"unknown sort {sort_tok.value!r}")
+        sort = self.sort()
         self.expect(".")
-        bound_name = name
+        var = Var(name, sort)
         if name in scope or name in self.free:
             # No variable may be bound twice on one quantifier path, and a
             # binder must not capture an annotated free variable: rename.
             k = 2
             while f"{name}_{k}" in self.used:
                 k += 1
-            bound_name = f"{name}_{k}"
-            self.used.add(bound_name)
-        var = Var(bound_name, sort_tok.value)
-        inner = dict(scope)
-        inner[name] = var
-        body = self.formula(inner)
-        return Exists(var, body) if kw == "exists" else Forall(var, body)
+            var = Var(f"{name}_{k}", sort)
+            self.used.add(var.name)
+        return var, {**scope, name: var}
 
     def atom(self, scope: dict[str, Var]) -> Formula:
-        t = self.peek()
-        if self.eat_sym("("):
-            f = self.formula(scope)
-            self.expect(")")
-            return f
-        if self.eat_sym("@"):
+        t = self.next()
+        if t.value == "@":
             p = self.next()
             if p.kind not in ("IDENT", "NUM"):
                 raise ParseError(f"found {p.value!r}", p.pos, "a player id after '@'")
             if p.value not in self.sig.players:
                 raise UnknownIdentifierError(f"unknown player {p.value!r}")
             return PlayerAtom(p.value)
-        if t.kind == "IDENT" and t.value == "true":
-            self.next()
-            return Top()
-        if t.kind == "IDENT" and t.value == "false":
-            self.next()
-            return Bottom()
-        if t.kind == "IDENT" and t.value in self.sig.predicates:
-            name = self.next().value
-            return Pred(name, self.term_list(scope) if self.at_sym("(") else ())
+        if t.value in ("true", "false"):
+            return Top() if t.value == "true" else Bottom()
+        if t.value in self.sig.predicates:
+            return self.node(t.pos, Pred, t.value, self.args(scope) if self.eat_sym("(") else ())
         # Otherwise this must be an equality between terms.
+        self.i -= 1
         left = self.term(scope)
         eq = self.next()
         if eq.value != "=":
             raise ParseError(f"found {eq.value or 'end of input'!r}", eq.pos, "'=' after a term")
-        return Eq(left, self.term(scope))
-
-    def term_list(self, scope: dict[str, Var]) -> tuple[Term, ...]:
-        self.expect("(")
-        if self.eat_sym(")"):
-            return ()
-        args = [self.term(scope)]
-        while self.eat_sym(","):
-            args.append(self.term(scope))
-        self.expect(")")
-        return tuple(args)
+        return self.node(t.pos, Eq, left, self.term(scope))
 
     def term(self, scope: dict[str, Var]) -> Term:
-        t = self.peek()
-        if self.eat_sym("#"):
-            sort_tok = self.next()
-            if sort_tok.kind != "IDENT" or sort_tok.value not in self.sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {sort_tok.value!r}")
+        x = self.head(scope)
+        return App(x, self.args(scope)) if x.__class__ is str else x
+
+    def args(self, scope: dict[str, Var]) -> tuple[Term, ...]:
+        """The terms after a "(", up to its ")"; each application open among
+        them waits on a stack, with the list it joins."""
+        if self.eat_sym(")"):
+            return ()
+        stack, args = [], []
+        while True:
+            x = self.head(scope)
+            if x.__class__ is str:
+                if not self.eat_sym(")"):
+                    stack.append((x, args))
+                    args = []
+                    continue
+                x = App(x, ())
+            args.append(x)
+            while not self.eat_sym(","):
+                self.expect(")")
+                if not stack:
+                    return tuple(args)
+                name, outer = stack.pop()
+                outer.append(App(name, tuple(args)))
+                args = outer
+
+    def head(self, scope: dict[str, Var]) -> Term | str:
+        """One term, or the name of a function after it has read its "("."""
+        t = self.next()
+        if t.value == "#":
+            sort = self.sort()
             self.expect(":")
             num = self.next()
             if num.kind != "NUM":
                 raise ParseError(f"found {num.value!r}", num.pos, "a domain index")
-            return DomainConst(sort_tok.value, int(num.value))
+            try:
+                return DomainConst(sort, int(num.value))
+            except ValueError:  # more digits than Python converts
+                raise ParseError("domain index has too many digits", num.pos) from None
+        name = t.value
         if t.kind != "IDENT":
-            raise ParseError(f"found {t.value or 'end of input'!r}", t.pos, "a term")
-        if t.value in RESERVED_WORDS:
-            raise ParseError(f"{t.value!r} is a reserved word", t.pos, "a term")
-        name = self.next().value
+            raise ParseError(f"found {name or 'end of input'!r}", t.pos, "a term")
+        if name in RESERVED_WORDS:
+            raise ParseError(f"{name!r} is a reserved word", t.pos, "a term")
         if name in self.sig.functions:
-            return App(name, self.term_list(scope) if self.at_sym("(") else ())
+            return name if self.eat_sym("(") else App(name, ())
+        annotated = self.eat_sym(":")
         if name in scope:
-            if self.at_sym(":"):
+            if annotated:
                 raise ParseError(f"variable {name!r} is already bound; drop the annotation", t.pos)
             return scope[name]
-        if self.at_sym(":"):
-            self.next()
-            sort_tok = self.next()
-            if sort_tok.kind != "IDENT" or sort_tok.value not in self.sig.sorts:
-                raise UnknownIdentifierError(f"unknown sort {sort_tok.value!r}")
+        if annotated:
+            sort = self.sort()
             if name in self.sig.names:
                 raise ParseError(f"variable {name!r} collides with a declared symbol", t.pos)
             prev = self.free.get(name)
-            if prev is not None and prev.sort != sort_tok.value:
-                raise SortError(f"free variable {name!r} annotated with sorts {prev.sort!r} and {sort_tok.value!r}")
-            var = Var(name, sort_tok.value)
-            self.free[name] = var
-            return var
+            if prev is not None and prev.sort != sort:
+                raise SortError(f"free variable {name!r} annotated with sorts {prev.sort!r} and {sort!r}")
+            self.free[name] = Var(name, sort)
         if name in self.free:
             return self.free[name]
         raise UnknownIdentifierError(f"unknown identifier {name!r}")
@@ -895,13 +893,11 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     UnknownIdentifierError.  Free variables must carry a sort annotation on
     first use; binders that would shadow an enclosing binder are renamed.
     The parser resolves names; `well_formed` checks arities and sorts on
-    the finished tree.  The parser recurses, and input that nests too deep
-    for it is a ParseError, "formula is nested too deeply".
+    the finished tree.  The parser recurses nowhere, so MAX_DEPTH is the
+    one bound on nesting: a tree deeper than that as written (parentheses
+    add no level), whose core form is at least as deep, is a ParseError,
+    "formula is nested too deeply", raised before any sort error.
     """
-    parser = _Parser(text, sig)
-    try:
-        f = parser.parse()
-    except RecursionError:
-        raise ParseError("formula is nested too deeply", parser.peek().pos) from None
+    f = _Parser(text, sig).parse()
     well_formed(f, sig)
     return f

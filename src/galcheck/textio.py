@@ -55,12 +55,14 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
 
 
 def _loads(data: bytes | str) -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        return json.loads(data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except ValueError:  # an integer with more digits than Python converts
+        raise SchemaError("invalid JSON: an integer has too many digits") from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply") from None
 
@@ -354,8 +356,6 @@ def load_game(data: bytes | str) -> ExtensiveGame:
             raise SchemaError("decision node has no moves", f"{path}/moves")
         moves = {}
         for action, child in moves_obj.items():
-            if not action:
-                raise SchemaError("empty action name", f"{path}/moves")
             moves[action] = node(child, f"{path}/moves/{action}")
         return decision(player, moves)
 

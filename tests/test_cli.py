@@ -148,15 +148,24 @@ def test_check_nesting_sweep_answers_or_exits_2(example_structure_path, capsys):
 
 
 def test_check_parser_nesting_limit_on_both_sides(example_structure_path, capsys):
-    # The parser recurses and rejects what nests too deep for it as a parse
-    # error; well below that limit, the same nestings are checked.
+    # The parser rejects a tree deeper than logic.MAX_DEPTH as written as a
+    # parse error; well below that bound, the same nestings are checked.
     model = str(example_structure_path)
-    for nest in (_NESTINGS["not"], _NESTINGS["EX"], _NESTINGS["paren"]):
+    for nest in (_NESTINGS["not"], _NESTINGS["EX"]):
         code, _, err = run_cli(capsys, "check", "--model", model, "--formula", nest(100))
         assert code in (0, 1), err
         code, out, err = run_cli(capsys, "check", "--model", model, "--formula", nest(5000))
         assert code == 2 and out == ""
         assert err.startswith("error: at position ") and "formula is nested too deeply" in err
+
+
+def test_check_deep_parentheses_answered_like_the_atom(example_structure_path, capsys):
+    # parentheses add no level, and the parser keeps no frame per level
+    model = str(example_structure_path)
+    _, want, _ = run_cli(capsys, "check", "--model", model, "--formula", "@1")
+    code, out, err = run_cli(capsys, "check", "--model", model, "--formula", _NESTINGS["paren"](5000))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sat"] == json.loads(want)["sat"]
 
 
 def test_check_too_deep_formula_subprocess(example_structure_path):
@@ -273,6 +282,11 @@ def test_eq_comma_action_names_the_action(tmp_path, capsys):
     code, out, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "ne")
     assert (code, out) == (2, "")
     assert err == "error: action 'a,b' at () is empty or contains ','\n"
+    root["moves"][""] = root["moves"].pop("a,b")
+    path.write_text(json.dumps({"players": ["1", "2"], "root": root}))
+    code, out, err = run_cli(capsys, "eq", "--game", str(path), "--concept", "ne")
+    assert (code, out) == (2, "")
+    assert err == "error: action '' at () is empty or contains ','\n"
 
 
 def test_eq_comma_actions_in_strategy_labels(tmp_path, capsys):
@@ -317,11 +331,12 @@ def test_gen_tictactoe_writes_structure(tmp_path, capsys):
 
 
 def test_gen_random_2p_bad_shape_exit2(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "gen", "random-2p", "--m", "0", "--n", "2", "--bound", "1", "--seed", "7",
-        "-o", str(tmp_path / "x.json"),
-    )
-    assert code == 2 and "error" in err
+    for flag in ("--m", "--n", "--bound"):
+        argv = {"--m": "2", "--n": "2", "--bound": "1", "--seed": "7", "-o": str(tmp_path / "x.json")}
+        argv[flag] = "0"
+        code, out, err = run_cli(capsys, "gen", "random-2p", *[x for kv in argv.items() for x in kv])
+        assert (code, out) == (2, "")
+        assert err == "error: --m, --n and --bound must be >= 1\n", flag
 
 
 def test_gen_bad_policy_exit2(tmp_path, capsys):
@@ -502,14 +517,58 @@ def test_fuzzed_inputs_exit_honestly(example_game_path, example_structure_path, 
 def test_internal_failure_exit4_without_traceback(example_structure_path, capsys, monkeypatch):
     import galcheck.cli as cli_mod
 
-    def broken_check_all(*args, **kwargs):
-        raise RuntimeError("labeler broke")
+    # a bare ValueError is a defect too: exit 2 is decided by the error's type
+    for exc in (RuntimeError("labeler broke"), ValueError("too many values to unpack")):
 
-    monkeypatch.setattr(cli_mod, "check_all", broken_check_all)
-    code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
-    assert code == 4
-    assert out == ""
-    assert err == "error: internal: RuntimeError: labeler broke\n"
+        def broken_check_all(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "check_all", broken_check_all)
+        code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "@1")
+        assert code == 4
+        assert out == ""
+        assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
+
+
+def test_non_utf8_input_files_exit2(example_game_path, example_structure_path, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    for argv, good in (
+        (["eq", "--concept", "ne", "--game", str(bad)], example_game_path),
+        (["check", "--formula", "@1", "--model", str(bad)], example_structure_path),
+    ):
+        data = good.read_bytes()
+        k = data.index(b'"1"') + 1
+        bad.write_bytes(data[:k] + b"\xe9" + data[k:])
+        code, out, err = run_cli(capsys, *argv)
+        assert _one_error_line(code, out, err), err
+        assert err == f"error: /: not UTF-8: invalid continuation byte at byte {k}\n"
+
+
+def test_non_utf8_formula_file_exit2(example_structure_path, tmp_path, capsys):
+    path = tmp_path / "formula.txt"
+    path.write_bytes(b"@1 & \xff")
+    code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula-file", str(path))
+    assert _one_error_line(code, out, err), err
+    assert err == "error: formula file is not UTF-8: invalid start byte at byte 5\n"
+
+
+def test_overlong_numbers_exit2(example_structure_path, tmp_path, capsys):
+    # more digits than Python converts to an int (4300 by default since 3.11)
+    digits = "9" * 5000
+    model = str(example_structure_path)
+    code, out, err = run_cli(capsys, "check", "--model", model, "--formula", f"h = #H:{digits}")
+    assert _one_error_line(code, out, err), err
+    if sys.version_info >= (3, 11):
+        assert err == "error: at position 7: domain index has too many digits\n"
+    doc = json.loads(example_structure_path.read_text())
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc).replace('"initial": [', f'"initial": [{digits}, ', 1))
+    code, out, err = run_cli(capsys, "check", "--model", str(path), "--formula", "@1")
+    assert _one_error_line(code, out, err), err
 
 
 def test_console_entry_point_subprocess(example_game_path):

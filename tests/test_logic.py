@@ -1,4 +1,8 @@
+import inspect
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +24,6 @@ from galcheck.logic import (
     Eq,
     Exists,
     Forall,
-    FormulaMetrics,
     FuncDecl,
     Implies,
     MAX_DEPTH,
@@ -35,7 +38,6 @@ from galcheck.logic import (
     expand_abbreviations,
     free_variable_map,
     free_variables,
-    metrics,
     parse_formula,
     pretty,
     substitute,
@@ -155,8 +157,36 @@ def test_parse_error_position(sig):
 
 
 def test_parse_pathological_nesting_is_a_parse_error(sig):
-    with pytest.raises(ParseError):
-        parse_formula("(" * 5000 + "true" + ")" * 5000, sig)
+    # MAX_DEPTH is the parser's only bound, and parentheses add no level
+    assert parse_formula("(" * 5000 + "true" + ")" * 5000, sig) == Top()
+    with pytest.raises(ParseError, match="formula is nested too deeply"):
+        parse_formula("!" * 5000 + "true", sig)
+
+
+def test_parse_rejects_a_tree_deeper_than_the_bound_as_written(sig):
+    # a conjunction of n atoms is n levels high; the level past the bound
+    # is reported at its operator
+    assert parse_formula(" & ".join(["winX"] * MAX_DEPTH), sig)._height == MAX_DEPTH
+    with pytest.raises(ParseError, match="formula is nested too deeply") as err:
+        parse_formula(" & ".join(["winX"] * 1000), sig)
+    assert err.value.position == len("winX & ") * MAX_DEPTH - 2
+    assert parse_formula("!" * (MAX_DEPTH - 1) + "winX", sig)._height == MAX_DEPTH
+    assert parse_formula("p(" + "g(" * (MAX_DEPTH - 2) + "a" + ")" * (MAX_DEPTH - 1), sig)._height == MAX_DEPTH
+    for deep in ("!" * MAX_DEPTH + "winX", "p(" + "g(" * (MAX_DEPTH - 1) + "a" + ")" * MAX_DEPTH):
+        with pytest.raises(ParseError, match="formula is nested too deeply"):
+            parse_formula(deep, sig)
+    with pytest.raises(ParseError, match="formula is nested too deeply"):  # before the sort error
+        parse_formula("!" * MAX_DEPTH + "p(h)", sig)
+
+
+def test_parse_keeps_no_frame_per_level(sig):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        f = parse_formula("!" * (MAX_DEPTH - 1) + "(" * 5000 + "winX" + ")" * 5000, sig)
+    finally:
+        sys.setrecursionlimit(old)
+    assert f._height == MAX_DEPTH
 
 
 def test_shadowed_binder_renamed(sig):
@@ -384,51 +414,6 @@ def test_substitute_sort_mismatch():
 
 
 # --------------------------------------------------------------------------- #
-# Metrics
-
-
-def test_metrics_examples(sig):
-    assert metrics(parse_formula("AG winX", sig)) == FormulaMetrics(1, 0)
-    assert metrics(Pred("p", (App("a"),))) == FormulaMetrics(0, 0)
-    assert metrics(parse_formula("forall x:S . EX p(x)", sig)) == FormulaMetrics(1, 1)
-
-
-def test_metrics_counts_on_core_form(sig):
-    # EF adds one until; EX adds one AX; exists counted directly
-    f = parse_formula("EF EX exists x:S . p(x)", sig)
-    assert metrics(f) == FormulaMetrics(2, 1)
-
-
-def test_metrics_equal_connective_recount():
-    rng = random.Random(55)
-    for _ in range(120):
-        g = random_structure(rng, max_states=3)
-        f = random_formula(rng, g, depth=4)
-        core = expand_abbreviations(f)
-
-        def recount(node):
-            if isinstance(node, (AX,)):
-                m, q = recount(node.body)
-                return m + 1, q
-            if isinstance(node, (EU, AU)):
-                lm, lq = recount(node.left)
-                rm, rq = recount(node.right)
-                return lm + rm + 1, lq + rq
-            if isinstance(node, Exists):
-                m, q = recount(node.body)
-                return m, q + 1
-            if isinstance(node, Not):
-                return recount(node.body)
-            if isinstance(node, Implies):
-                lm, lq = recount(node.left)
-                rm, rq = recount(node.right)
-                return lm + rm, lq + rq
-            return 0, 0
-
-        assert metrics(f) == FormulaMetrics(*recount(core))
-
-
-# --------------------------------------------------------------------------- #
 # Round-trip
 
 
@@ -467,6 +452,23 @@ def test_signature_rejects_namespace_clash():
         Signature(sorts={"S"}, functions={"S": FuncDecl((), "S")})
     with pytest.raises(SortError):
         Signature(sorts={"S"}, predicates={"q": PredDecl(())}, players=("q",))
+
+
+def test_signature_reports_the_first_bad_name_in_sorted_order():
+    # set order follows string hashes, which change from process to process
+    code = (
+        "from galcheck.logic import Signature\n"
+        "try:\n"
+        "    Signature({'T,T', 'U,U', 'S'}, {}, {}, ())\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    messages = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        messages.add(proc.stdout)
+    assert messages == {"SortError 'T,T' is not a valid identifier\n"}
 
 
 def test_signature_rejects_undeclared_profile_sort():
