@@ -112,7 +112,7 @@ class ExtensiveGame:
                 for p in self.players:
                     if p not in given:
                         out.append(f"terminal {where} lacks a utility for player {p!r}")
-                for p in given - players:
+                for p in sorted(given - players):
                     out.append(f"terminal {where} has a utility for unknown player {p!r}")
             else:
                 if node.player is None:

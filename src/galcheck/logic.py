@@ -13,12 +13,14 @@ The surface syntax (ASCII) is:
     term    := IDENT | IDENT "(" [term {"," term}] ")" | IDENT ":" IDENT
              | "#" IDENT ":" NUMBER
 
-Precedence: ! > & > | > -> (right-associative); prefix modalities and
-quantifiers bind their whole suffix.  A bare identifier in formula position
-is a 0-ary predicate.  A free (valuation-bound) variable is written with a
-sort annotation `x:S`; later occurrences may omit it.  `#S:3` denotes the
-fourth element of sort S's domain enumeration; such literals are normally
-introduced only by substitution.
+The table `SYNTAX` is the one owner of keywords and precedence, which is
+! > & > | > -> (right-associative): the parser reads it and `pretty`
+prints from it.  Prefix modalities and quantifiers bind their whole
+suffix.  A bare identifier in formula position is a 0-ary predicate.  A free
+(valuation-bound) variable is written with a sort annotation `x:S`; later
+occurrences may omit it.  `#S:3` denotes the fourth element of sort S's
+domain enumeration; such literals are normally introduced only by
+substitution.
 
 Nodes store their hash and height when built, so neither recurses.  The
 parser, `free_variables`, `expand_abbreviations` and `well_formed` keep
@@ -326,13 +328,22 @@ class Forall(Formula):
     body: Formula
 
 
-_MODALITIES = {"EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}
+# The surface syntax of each formula class but the atoms and "!": the one
+# owner of keywords and precedence.  A binary operator has its level (higher
+# binds tighter) and the side it groups to.
+SYNTAX: dict[str, dict[type, str | tuple[str, int, str]]] = {
+    "constant": {Top: "true", Bottom: "false"},
+    "prefix": {EX: "EX", AX: "AX", EF: "EF", AF: "AF", EG: "EG", AG: "AG"},
+    "binder": {Exists: "exists", Forall: "forall"},
+    "until": {EU: "E", AU: "A"},
+    "binary": {Implies: ("->", 1, "right"), Or: ("|", 2, "left"), And: ("&", 3, "left")},
+}
 
-# E, A, and U are contextual (E/A only introduce an until when followed by
-# '['; U only separates the two until operands), so they stay declarable.
-RESERVED_WORDS = frozenset(
-    {"true", "false", "exists", "forall", *_MODALITIES}
-)
+# E, A and U only act in E[, A[ and between until operands, so they stay declarable.
+RESERVED_WORDS = frozenset(w for kind in ("constant", "prefix", "binder") for w in SYNTAX[kind].values())
+# class -> (its section, its entry) for `pretty`; word -> (section, class) for the parser
+_ENTRIES = {cls: (kind, entry) for kind, section in SYNTAX.items() for cls, entry in section.items()}
+_WORDS = {word: (kind, cls) for cls, (kind, word) in _ENTRIES.items() if kind != "binary"}
 
 
 # --------------------------------------------------------------------------- #
@@ -576,13 +587,8 @@ def well_formed(f: Formula, sig: Signature, build: Callable | None = None):
 # --------------------------------------------------------------------------- #
 # Printer
 
-_LVL_IMPLIES = 1
-_LVL_OR = 2
-_LVL_AND = 3
-_LVL_NOT = 4
-_LVL_ATOM = 5
-
-_MODALITY_WORD = {cls: word for word, cls in _MODALITIES.items()}
+# "!", atoms and untils bind tighter than any binary operator; prefixes and binders are 0
+_TIGHT = 1 + max(level for _, level, _ in SYNTAX["binary"].values())
 
 
 def _pretty_term(t: Term, bound: frozenset[str]) -> str:
@@ -601,36 +607,28 @@ def pretty(f: Formula) -> str:
 
     def go(g: Formula, min_level: int, bound: frozenset[str]) -> str:
         """`g`, in parentheses if it binds more loosely than `min_level`."""
-        if isinstance(g, Top):
-            text, level = "true", _LVL_ATOM
-        elif isinstance(g, Bottom):
-            text, level = "false", _LVL_ATOM
-        elif isinstance(g, PlayerAtom):
-            text, level = f"@{g.player}", _LVL_ATOM
-        elif isinstance(g, Pred):
-            args = ", ".join(_pretty_term(a, bound) for a in g.args)
-            text, level = (f"{g.name}({args})" if g.args else g.name), _LVL_ATOM
-        elif isinstance(g, Eq):
-            text, level = f"{_pretty_term(g.left, bound)} = {_pretty_term(g.right, bound)}", _LVL_ATOM
-        elif isinstance(g, Not):
-            text, level = f"!{go(g.body, _LVL_NOT, bound)}", _LVL_NOT
-        elif isinstance(g, And):
-            text, level = f"{go(g.left, _LVL_AND, bound)} & {go(g.right, _LVL_AND + 1, bound)}", _LVL_AND
-        elif isinstance(g, Or):
-            text, level = f"{go(g.left, _LVL_OR, bound)} | {go(g.right, _LVL_OR + 1, bound)}", _LVL_OR
-        elif isinstance(g, Implies):
-            left, right = go(g.left, _LVL_IMPLIES + 1, bound), go(g.right, _LVL_IMPLIES, bound)
-            text, level = f"{left} -> {right}", _LVL_IMPLIES
-        elif type(g) in _MODALITY_WORD:
-            text, level = f"{_MODALITY_WORD[type(g)]} {go(g.body, 0, bound)}", 0
-        elif isinstance(g, EU):
-            text, level = f"E[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
-        elif isinstance(g, AU):
-            text, level = f"A[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]", _LVL_ATOM
-        elif isinstance(g, Exists):
-            text, level = f"exists {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
-        elif isinstance(g, Forall):
-            text, level = f"forall {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
+        cls, level = g.__class__, _TIGHT
+        kind, entry = _ENTRIES.get(cls, (None, None))
+        if kind == "binary":
+            word, level, side = entry
+            right = side == "right"  # on `side`, an operand may be another `word` unparenthesised
+            text = f"{go(g.left, level + right, bound)} {word} {go(g.right, level + (not right), bound)}"
+        elif kind == "prefix":
+            text, level = f"{entry} {go(g.body, 0, bound)}", 0
+        elif kind == "binder":
+            text, level = f"{entry} {g.var.name}:{g.var.sort} . {go(g.body, 0, bound | {g.var.name})}", 0
+        elif kind == "until":
+            text = f"{entry}[{go(g.left, 0, bound)} U {go(g.right, 0, bound)}]"
+        elif kind == "constant":
+            text = entry
+        elif cls is Not:
+            text = f"!{go(g.body, _TIGHT, bound)}"
+        elif cls is PlayerAtom:
+            text = f"@{g.player}"
+        elif cls is Pred:
+            text = f"{g.name}({', '.join(_pretty_term(a, bound) for a in g.args)})" if g.args else g.name
+        elif cls is Eq:
+            text = f"{_pretty_term(g.left, bound)} = {_pretty_term(g.right, bound)}"
         else:
             raise TypeError(f"not a formula: {g!r}")
         return f"({text})" if level < min_level else text
@@ -674,10 +672,13 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
-# Binary operators, and the open constructs each closes after an operand
-# (another token closes all four): `->` groups to the right, the rest left.
-_BINARY = {"&": And, "|": Or, "->": Implies}
-_CLOSED_BY = {"&": ("!", "&"), "|": ("!", "&", "|"), "->": ("!", "&", "|")}
+# A binary operator's word -> (its class, what it closes after an operand:
+# "!" and each operator that binds tighter, or as tightly and groups left).
+_CLOSED_BY = {
+    word: (cls, ("!", *(w for w, lvl, side in SYNTAX["binary"].values() if lvl + (side == "left") > level)))
+    for cls, (word, level, _) in SYNTAX["binary"].items()
+}
+_NOT_BINARY = (None, ("!", *_CLOSED_BY))  # any other token closes all of them
 
 
 class _Parser:
@@ -725,53 +726,52 @@ class _Parser:
 
     def parse(self) -> Formula:
         # The open constructs, innermost last, each (what closes it, where it
-        # starts, its node class, its operands so far, the scope outside it).
-        # "!" and a binary operator close once an operand follows them, a
-        # modality or quantifier (None) when its formula ends, "(" at ")",
-        # and E[ or A[ at "U" and then at "]".
+        # starts, its node class, its operands so far, the scope outside it):
+        # "!" and a binary operator once an operand follows, a prefix or
+        # binder (None) when its formula ends, "(" at ")", and E[ or A[ at
+        # "U" and then at "]".
         stack: list[tuple] = []
         scope: dict[str, Var] = {}
         while True:
             while True:  # open the prefixes of one unary
                 t = self.next()
-                word = t.value
-                if word == "!":
+                kind, cls = _WORDS.get(t.value, (None, None))
+                if t.value == "!":
                     stack.append(("!", t.pos, Not, (), scope))
-                elif word == "(":
+                elif t.value == "(":
                     stack.append((")", t.pos, None, (), scope))
-                elif word in _MODALITIES:  # binds its whole suffix
-                    stack.append((None, t.pos, _MODALITIES[word], (), scope))
-                elif word in ("E", "A") and self.eat_sym("["):
-                    stack.append(("U", t.pos, EU if word == "E" else AU, (), scope))
-                elif word == "exists" or word == "forall":
+                elif kind == "prefix":
+                    stack.append((None, t.pos, cls, (), scope))
+                elif kind == "until" and self.eat_sym("["):
+                    stack.append(("U", t.pos, cls, (), scope))
+                elif kind == "binder":
                     var, inner = self.binder(scope)
-                    stack.append((None, t.pos, Exists if word == "exists" else Forall, (var,), scope))
+                    stack.append((None, t.pos, cls, (var,), scope))
                     scope = inner
-                else:
-                    self.i -= 1  # `t` starts the atom
+                else:  # `t` starts the atom
                     break
-            f = self.atom(scope)
+            f = cls() if kind == "constant" else self.atom(t, scope)
             while True:  # close what `f` completes, up to the next operand
                 t = self.toks[self.i]
-                closes = _CLOSED_BY.get(t.value, ("!", "&", "|", "->"))
+                cls, closes = _CLOSED_BY.get(t.value, _NOT_BINARY)
                 while stack and stack[-1][0] in closes:
-                    _, pos, cls, ops, _ = stack.pop()
-                    f = self.node(pos, cls, *ops, f)
-                if t.value in _BINARY:
+                    _, pos, op, ops, _ = stack.pop()
+                    f = self.node(pos, op, *ops, f)
+                if cls:
                     self.i += 1
-                    stack.append((t.value, t.pos, _BINARY[t.value], (f,), scope))
+                    stack.append((t.value, t.pos, cls, (f,), scope))
                     break
                 if not stack:  # `f` is the whole formula
                     if t.kind != "EOF":
                         raise ParseError(f"trailing input {t.value!r}", t.pos)
                     return f
-                kind, pos, cls, ops, scope = stack.pop()  # it opened the formula `f`
-                if kind == "U":
+                closer, pos, cls, ops, scope = stack.pop()  # it opened the formula `f`
+                if closer == "U":
                     self.expect("U", "'U' between the until operands")
                     stack.append(("]", pos, cls, (f,), scope))
                     break
-                if kind:
-                    self.expect(kind)
+                if closer:
+                    self.expect(closer)
                 if cls:
                     f = self.node(pos, cls, *ops, f)
 
@@ -800,8 +800,8 @@ class _Parser:
             self.used.add(var.name)
         return var, {**scope, name: var}
 
-    def atom(self, scope: dict[str, Var]) -> Formula:
-        t = self.next()
+    def atom(self, t: _Tok, scope: dict[str, Var]) -> Formula:
+        """The atom that starts with the token `t`, already read; `parse` reads constants."""
         if t.value == "@":
             p = self.next()
             if p.kind not in ("IDENT", "NUM"):
@@ -809,8 +809,6 @@ class _Parser:
             if p.value not in self.sig.players:
                 raise UnknownIdentifierError(f"unknown player {p.value!r}")
             return PlayerAtom(p.value)
-        if t.value in ("true", "false"):
-            return Top() if t.value == "true" else Bottom()
         if t.value in self.sig.predicates:
             return self.node(t.pos, Pred, t.value, self.args(scope) if self.eat_sym("(") else ())
         # Otherwise this must be an equality between terms.

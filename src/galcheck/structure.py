@@ -206,7 +206,7 @@ class GalStructure:
             if e not in declared:
                 out.append(f"players listed for unknown state {e!r}")
                 continue
-            for p in ps:
+            for p in sorted(ps):
                 if p not in players:
                     out.append(f"state {e!r} lists undeclared player {p!r}")
             if ps and not self._succ[self._index[e]]:

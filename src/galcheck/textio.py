@@ -49,7 +49,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> 
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"unknown field {key!r}", path)
-    for key in required:
+    for key in sorted(required):
         if key not in obj:
             raise SchemaError(f"missing field {key!r}", path)
 

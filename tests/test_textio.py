@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +114,34 @@ def test_unambiguous_comma_labels_resolve(example_structure_path):
         (g.element("H", "(A)"), g.element("S1", "<B>"), g.element("S2", "<L>")),
     )
     assert elem.label == "(A,L)"
+
+
+def test_validation_messages_do_not_follow_string_hashes():
+    # set order follows string hashes, which change from process to process
+    code = (
+        "from galcheck.extensive import ExtensiveGame, decision, terminal\n"
+        "from galcheck.logic import Signature\n"
+        "from galcheck.structure import GalStructure, table_provider\n"
+        "from galcheck.textio import load_structure\n"
+        "for build in (\n"
+        "    lambda: load_structure(b'{}'),\n"
+        "    lambda: ExtensiveGame(('1',), decision('1', {'a': terminal({'1': 0, 'x': 1, 'y': 2, 'z': 3})})),\n"
+        "    lambda: GalStructure(Signature(players=('1',)), ['e0'], ['e0'], [('e0', 'e0')], {},\n"
+        "                         {'e0': ['x', 'y', 'z']}, *table_provider({}, {}, {}, {})),\n"
+        "):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        outputs.add(proc.stdout)
+    unknown = "; ".join(f"terminal (a) has a utility for unknown player {p!r}" for p in "xyz")
+    undeclared = "; ".join(f"state 'e0' lists undeclared player {p!r}" for p in "xyz")
+    assert outputs == {f"SchemaError /: missing field 'actions'\nValidationError {unknown}\nValidationError {undeclared}\n"}
 
 
 # --------------------------------------------------------------------------- #
