@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from operator import attrgetter, is_not
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 
@@ -639,20 +639,21 @@ def pretty(f: Formula) -> str:
 # --------------------------------------------------------------------------- #
 # Lexer / parser
 
+# A token takes the whitespace after it, and the scan starts after any leading whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<NUM>[0-9]+)
-  | (?P<ARROW>->)
-  | (?P<SYM>[()\[\],.:=!&|@\#])
+    (?: (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<NUM>[0-9]+)
+      | (?P<ARROW>->)
+      | (?P<SYM>[()\[\],.:=!&|@\#])
+      | (?P<BAD>.)
+    ) \s*
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # IDENT NUM ARROW SYM EOF
     value: str
     pos: int
@@ -660,14 +661,11 @@ class _Tok:
 
 def _lex(text: str) -> list[_Tok]:
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "WS":
-            toks.append(_Tok(m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text, len(text) - len(text.lstrip())):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start())
+        toks.append(_Tok(kind, m[kind], m.start()))
     toks.append(_Tok("EOF", "", len(text)))
     return toks
 

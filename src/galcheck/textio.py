@@ -1,9 +1,13 @@
 """Readers and writers for the on-disk formats.
 
 All loaders are strict: unknown fields, bad shapes, and dangling references
-are rejected with a JSON-pointer-style path, never repaired.  Serialization
-is canonical (sorted keys; set-like lists sorted; domain enumerations kept
-in declared order because element indices are meaningful), so dumping a
+are rejected with a JSON-pointer-style path, never repaired.  A structure's
+argument keys are cut at their commas once, and each argument is looked up
+among its sort's labels, in one index per sort built once per file; a key
+with more than _MAX_SPLITS (100) partial splits after one argument is
+rejected, so every key is read in linear time.  Serialization is
+canonical (sorted keys; set-like lists sorted; domain enumerations kept in
+declared order because element indices are meaningful), so dumping a
 loaded file is idempotent after one normalization pass.
 """
 
@@ -17,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Mapping
 
-from .errors import SchemaError
+from .errors import SchemaError, SortError
 from .extensive import ExtensiveGame, GameNode, decision, terminal
 from .gamegen import Bimatrix
 from .logic import FuncDecl, PredDecl, Signature
@@ -25,6 +29,7 @@ from .structure import GalStructure, table_provider
 
 _STRUCTURE_KEYS = {"sorts", "players", "functions", "predicates", "states", "rigid", "actions", "initial"}
 _STATE_KEYS = {"id", "players", "funcs", "preds"}
+_MAX_SPLITS = 100  # the most partial splits an argument key may leave after one argument
 
 
 def _as_obj(value: Any, path: str) -> dict:
@@ -78,9 +83,11 @@ def load_structure(data: bytes | str) -> GalStructure:
 
     sorts_obj = _as_obj(doc["sorts"], "/sorts")
     domains: dict[str, list[str]] = {}
+    index: dict[str, tuple[set[str], list[int]]] = {}  # per sort: its labels, and their piece counts
     for sort, elems in sorts_obj.items():
         labels = [_as_str(x, f"/sorts/{sort}") for x in _as_list(elems, f"/sorts/{sort}")]
-        if len(set(labels)) != len(labels):
+        index[sort] = set(labels), sorted({x.count(",") + 1 for x in labels})
+        if len(index[sort][0]) != len(labels):
             raise SchemaError("duplicate domain elements", f"/sorts/{sort}")
         domains[sort] = labels
 
@@ -117,11 +124,10 @@ def load_structure(data: bytes | str) -> GalStructure:
 
     try:
         sig = Signature(set(domains), functions, predicates, players)
-    except Exception as exc:
+    except SortError as exc:
         raise SchemaError(str(exc)) from exc
 
-    state_ids: list[str] = []
-    players_at: dict[str, list[str]] = {}
+    players_at: dict[str, list[str]] = {}  # each state, in file order, to its players
     state_funcs: dict[str, dict[str, dict[tuple[str, ...], str]]] = {}
     state_preds: dict[str, dict[str, set[tuple[str, ...]]]] = {}
     for k, st in enumerate(_as_list(doc["states"], "/states")):
@@ -131,38 +137,36 @@ def load_structure(data: bytes | str) -> GalStructure:
         sid = _as_str(st["id"], f"{path}/id")
         if sid in players_at:
             raise SchemaError(f"duplicate state id {sid!r}", f"{path}/id")
-        state_ids.append(sid)
         ps = [_as_str(p, f"{path}/players") for p in _as_list(st.get("players", []), f"{path}/players")]
         for p in ps:
             if p not in players:
                 raise SchemaError(f"undeclared player {p!r}", f"{path}/players")
         players_at[sid] = ps
-        state_funcs[sid], state_preds[sid] = _tables(st, sig, domains, False, path)
+        state_funcs[sid], state_preds[sid] = _tables(st, sig, index, False, path)
 
-    rigid_funcs, rigid_preds = _tables(rigid_obj, sig, domains, True, "/rigid")
+    rigid_funcs, rigid_preds = _tables(rigid_obj, sig, index, True, "/rigid")
 
-    known = set(state_ids)
     actions: list[tuple[str, str]] = []
     for k, pair in enumerate(_as_list(doc["actions"], "/actions")):
         pair = _as_list(pair, f"/actions/{k}")
         if len(pair) != 2:
             raise SchemaError("expected a [source, target] pair", f"/actions/{k}")
         src, dst = (_as_str(x, f"/actions/{k}") for x in pair)
-        if src not in known or dst not in known:
+        if src not in players_at or dst not in players_at:
             raise SchemaError(f"action [{src!r}, {dst!r}] mentions an undeclared state", f"/actions/{k}")
         actions.append((src, dst))
 
     initial = []
     for k, sid in enumerate(_as_list(doc["initial"], "/initial")):
         sid = _as_str(sid, f"/initial/{k}")
-        if sid not in known:
+        if sid not in players_at:
             raise SchemaError(f"initial state {sid!r} is not declared", f"/initial/{k}")
         initial.append(sid)
 
     fun_eval, pred_eval = table_provider(state_funcs, state_preds, rigid_funcs, rigid_preds)
     return GalStructure(
         sig=sig,
-        states=state_ids,
+        states=list(players_at),
         initial=initial,
         actions=actions,
         domains=domains,
@@ -172,7 +176,7 @@ def load_structure(data: bytes | str) -> GalStructure:
     )
 
 
-def _tables(obj: dict, sig: Signature, domains: Mapping[str, list[str]], rigid: bool, path: str) -> tuple:
+def _tables(obj: dict, sig: Signature, index: Mapping, rigid: bool, path: str) -> tuple:
     """The "funcs" and "preds" sections of a state entry or, if `rigid`, of
     the rigid section, each symbol checked and then read by its kind's reader."""
     funcs: dict[str, dict[tuple[str, ...], str]] = {}
@@ -189,22 +193,22 @@ def _tables(obj: dict, sig: Signature, domains: Mapping[str, list[str]], rigid: 
             if decl.rigid != rigid:
                 where = "rigid section" if decl.rigid else "state entries"
                 raise SchemaError(f"{kind} {name!r} must be interpreted in the {where}", at)
-            tables[name] = read(table, decl, domains, f"{at}/{name}")
+            tables[name] = read(table, decl, index, f"{at}/{name}")
     return funcs, preds
 
 
-def _func_entries(table: Any, decl: FuncDecl, domains: Mapping[str, list[str]], path: str) -> dict:
+def _func_entries(table: Any, decl: FuncDecl, index: Mapping, path: str) -> dict:
     entries: dict[tuple[str, ...], str] = {}
     for key, value in _as_obj(table, path).items():
-        args = _split_argskey(key, decl.args, domains, path)
+        args = _split_argskey(key, decl.args, index, path)
         value = _as_str(value, path)
-        if value not in domains[decl.result]:
+        if value not in index[decl.result][0]:
             raise SchemaError(f"value {value!r} is not an element of sort {decl.result!r}", path)
         entries[args] = value
     return entries
 
 
-def _pred_rows(rows: Any, decl: PredDecl, domains: Mapping[str, list[str]], path: str) -> set:
+def _pred_rows(rows: Any, decl: PredDecl, index: Mapping, path: str) -> set:
     relation: set[tuple[str, ...]] = set()
     for k, row in enumerate(_as_list(rows, path)):
         row = _as_list(row, f"{path}/{k}")
@@ -212,56 +216,54 @@ def _pred_rows(rows: Any, decl: PredDecl, domains: Mapping[str, list[str]], path
             raise SchemaError(f"expected {len(decl.args)} arguments", f"{path}/{k}")
         labels = tuple(_as_str(x, f"{path}/{k}") for x in row)
         for lab, sort in zip(labels, decl.args):
-            if lab not in domains[sort]:
+            if lab not in index[sort][0]:
                 raise SchemaError(f"{lab!r} is not an element of sort {sort!r}", f"{path}/{k}")
         relation.add(labels)
     return relation
 
 
-def _split_argskey(
-    key: str,
-    arg_sorts: tuple[str, ...],
-    domains: Mapping[str, list[str]],
-    path: str,
-) -> tuple[str, ...]:
+def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str) -> tuple[str, ...]:
     """Split a comma-joined argument key into element labels.
 
-    Labels may themselves contain commas, so the split is resolved against
-    the domains; a key that parses zero or several ways is rejected.  The
-    parse runs left to right without recursion: after each argument, every
-    key offset reached so far, with its number of parses (capped at 2) and
-    the offset and label it was first reached from.  An offset is kept only
-    if the rest of the key is long enough for the remaining arguments.
+    The key is cut at its commas once, and argument i takes as many pieces
+    as one of its sort's labels has, looked up among that sort's labels.
+    The parse runs left to right without recursion: after each argument,
+    every piece offset reached, with its number of parses (capped at 2) and
+    the labels it was first reached by, kept only while the pieces left fit
+    the remaining arguments.  A key that parses no way or several ways, or
+    has more than _MAX_SPLITS offsets after one argument, is rejected, so
+    every key is read in time linear in its length.
     """
-    if not arg_sorts:
-        if key != "":
-            raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
-        return ()
+    if not arg_sorts and key:
+        raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
+    pieces = key.split(",") if key else []  # the key "" joins no labels
     n = len(arg_sorts)
-    need = [0] * (n + 1)  # the length of the shortest text of arguments i..
+    fewest, most = [0] * (n + 1), [0] * (n + 1)  # the pieces that arguments i.. can take
     for i in reversed(range(n)):
-        need[i] = need[i + 1] + min(map(len, domains[arg_sorts[i]]), default=0) + (i < n - 1)
-    steps: list[dict[int, list]] = [{0: [1, 0, ""]}]  # offset -> [parses, from, label]
+        counts = index[arg_sorts[i]][1] or [0]
+        fewest[i], most[i] = fewest[i + 1] + counts[0], most[i + 1] + counts[-1]
+    reached: dict[int, list] = {0: [1, ()]}  # piece offset -> [parses, labels as (last, (previous, ...))]
     for i, sort in enumerate(arg_sorts):
-        last = i == n - 1
-        reached: dict[int, list] = {}
-        for pos, (count, _, _) in steps[-1].items():
-            for label in domains[sort]:
-                end = pos + len(label)
-                if key.startswith(label, pos) and (last or key.startswith(",", end)):
-                    end += not last
-                    if len(key) - end >= need[i + 1]:
-                        entry = reached.setdefault(end, [0, pos, label])
+        known, counts = index[sort]
+        before, reached = reached, {}
+        for pos, (count, chain) in before.items():
+            for c in counts:
+                end = pos + c
+                if fewest[i + 1] <= len(pieces) - end <= most[i + 1]:
+                    label = ",".join(pieces[pos:end])
+                    if label in known:
+                        entry = reached.setdefault(end, [0, (label, chain)])
                         entry[0] = min(2, entry[0] + count)
-        steps.append(reached)
-    count = steps[-1].get(len(key), [0])[0]
+        if len(reached) > _MAX_SPLITS:
+            raise SchemaError(f"argument key {key!r} has more than {_MAX_SPLITS} partial splits", path)
+    count, chain = reached.get(len(pieces), (0, ()))
     if not count:
         raise SchemaError(f"argument key {key!r} does not match the declared sorts", path)
     if count > 1:
         raise SchemaError(f"argument key {key!r} is ambiguous", path)
-    labels, pos = [], len(key)
-    for reached in reversed(steps[1:]):
-        _, pos, label = reached[pos]
+    labels = []
+    while chain:
+        label, chain = chain
         labels.append(label)
     return tuple(reversed(labels))
 

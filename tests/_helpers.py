@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from galcheck.extensive import ExtensiveGame, GameNode, decision, terminal
 from galcheck.logic import (
@@ -57,6 +58,19 @@ def wide_function_doc(labels: list[str], n: int, key: str) -> dict:
         "actions": [["e0", "e0"]],
         "initial": ["e0"],
     }
+
+
+def split_argskey_oracle(key: str, domains: list[list[str]]) -> list[tuple[str, ...]]:
+    """Every way to cut the comma-separated pieces of `key` into one group
+    per domain such that each group, rejoined, is a label of its domain."""
+    pieces = key.split(",")
+    found = []
+    for cuts in combinations(range(1, len(pieces)), len(domains) - 1):
+        bounds = (0, *cuts, len(pieces))
+        labels = tuple(",".join(pieces[a:b]) for a, b in zip(bounds, bounds[1:]))
+        if all(label in domain for label, domain in zip(labels, domains)):
+            found.append(labels)
+    return found
 
 
 # --------------------------------------------------------------------------- #

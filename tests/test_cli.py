@@ -530,6 +530,18 @@ def test_internal_failure_exit4_without_traceback(example_structure_path, capsys
         assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
+def test_a_defect_inside_signature_exits4(example_structure_path, capsys, monkeypatch):
+    # `load_structure` turns only the signature's own `SortError` into an input error
+    from galcheck.logic import Signature
+
+    def broken_check(self):
+        raise TypeError("names is not a dict")
+
+    monkeypatch.setattr(Signature, "_check", broken_check)
+    code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "true")
+    assert (code, out, err) == (4, "", "error: internal: TypeError: names is not a dict\n")
+
+
 def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
 

@@ -158,6 +158,19 @@ def test_parse_error_position(sig):
     assert err.value.position == 6
 
 
+def test_parse_reads_tabs_and_newlines_as_spaces(sig):
+    assert parse_formula("\t\n winX\t&\n\n  ge(\ta ,b\t)  \n", sig) == parse_formula("winX & ge(a, b)", sig)
+    for text, message in (
+        ("  \t%", "at position 3: unexpected character '%'"),
+        ("winX \n\t &  $ p(a)", "at position 11: unexpected character '$'"),
+        ("winX &\t \n", "at position 9: found 'end of input' (expected a term)"),
+        ("\n\n", "at position 2: found 'end of input' (expected a term)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, sig)
+        assert str(err.value) == message
+
+
 def test_parse_pathological_nesting_is_a_parse_error(sig):
     # MAX_DEPTH is the parser's only bound, and parentheses add no level
     assert parse_formula("(" * 5000 + "true" + ")" * 5000, sig) == Top()

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from galcheck.textio import (
     write_bench_csv,
 )
 
-from _helpers import wide_function_doc
+from _helpers import split_argskey_oracle, wide_function_doc
 
 
 # --------------------------------------------------------------------------- #
@@ -103,6 +105,65 @@ def test_wide_argument_keys_split_without_recursion():
     assert g.interp.fun("f", "e0", elems).label == "a"
     with pytest.raises(SchemaError, match="does not match the declared sorts"):
         load_structure(json.dumps(wide_function_doc(["a", "a,a"], 5000, ",".join(["a"] * 4999))))
+
+
+def test_argument_keys_split_as_the_brute_force_oracle_does():
+    # labels of one to three possibly empty pieces, such as ",x", "x," and
+    # ",", so keys hold leading, trailing and doubled commas; half the keys
+    # are built for the argument sorts, and about 3 % of all are ambiguous
+    rng = random.Random(11)
+    pieces = ["", "x", "y"]
+    for _ in range(4000):
+        sorts = {}
+        for sort in ("S", "T"):
+            labels = {",".join(rng.choices(pieces, k=rng.randint(1, 3))) for _ in range(6)}
+            sorts[sort] = sorted(labels - {""}) or ["x"]
+        arg_sorts = rng.choices("ST", k=rng.randint(1, 4))
+        key_sorts = arg_sorts if rng.random() < 0.5 else rng.choices("ST", k=rng.randint(1, 4))
+        key = ",".join(rng.choice(sorts[s]) for s in key_sorts)
+        doc = wide_function_doc(sorts["S"], len(arg_sorts), key)
+        doc["sorts"]["T"] = sorts["T"]
+        doc["functions"]["f"]["args"] = arg_sorts
+        found = split_argskey_oracle(key, [sorts[s] for s in arg_sorts])
+        if len(found) == 1:
+            g = load_structure(json.dumps(doc))
+            elems = tuple(g.element(s, label) for s, label in zip(arg_sorts, found[0]))
+            assert g.interp.fun("f", "e0", elems).label == sorts["S"][0]
+        else:
+            message = "does not match the declared sorts" if not found else "is ambiguous"
+            with pytest.raises(SchemaError, match=message):
+                load_structure(json.dumps(doc))
+
+
+def test_ambiguous_wide_key_is_rejected_at_the_split_bound():
+    # 4400 a's over the labels a and a,a cut into 4000 arguments in many
+    # ways; the partial splits pass the bound after about 100 arguments
+    n = 4000
+    data = json.dumps(wide_function_doc(["a", "a,a"], n, ",".join(["a"] * (n + n // 10))))
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="has more than 100 partial splits"):
+        load_structure(data)
+    assert time.perf_counter() - start < 0.5
+    # more pieces than 150 arguments can take: no offset fits, so no bound is reached
+    with pytest.raises(SchemaError, match="does not match the declared sorts"):
+        load_structure(json.dumps(wide_function_doc(["a", "a,a"], 150, ",".join(["a"] * 1000))))
+
+
+def test_load_time_of_a_table_over_a_wide_sort():
+    # 40 000 entries over a 200-label sort, each label looked up in its
+    # sort's index: about 0.2 s on a 2-core host, against 4.5 s when each
+    # label scanned its domain
+    labels = [f"e{k}" for k in range(200)]
+    doc = wide_function_doc(labels, 2, "e0,e0")
+    doc["rigid"]["funcs"]["f"] = {f"{a},{b}": b for a in labels for b in labels}
+    data = json.dumps(doc)
+
+    def seconds():
+        start = time.perf_counter()
+        load_structure(data)
+        return time.perf_counter() - start
+
+    assert min(seconds() for _ in range(3)) < 1.5
 
 
 def test_unambiguous_comma_labels_resolve(example_structure_path):
