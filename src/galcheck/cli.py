@@ -11,7 +11,9 @@ formula fails on some initial state, 2 usage/input errors, by the error's
 type (including an input file nested too deeply to read, and a formula
 nested deeper than `logic.MAX_DEPTH`), 3 an internal cross-check
 disagreement in `eq`, 4 an internal failure (a defect, such as a bare
-`ValueError`), reported on one line as `error: internal: ...`.
+`ValueError`, or any failure inside an interpretation callback other than
+a package error: every callback the CLI runs is the package's own),
+reported on one line as `error: internal: ...`.
 
 `check` runs `checker.check_all` with the one `--bind` valuation, so a
 table entry is evaluated only where a care set reaches it, and the printed
@@ -30,7 +32,7 @@ import time
 from pathlib import Path
 
 from .checker import check_all, result_json
-from .errors import GalcheckError
+from .errors import GalcheckError, InterpretationError
 from .extensive import (
     EquilibriumConcept,
     enumerate_equilibria,
@@ -167,14 +169,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(json.dumps({"states": len(g.states), "actions": len(g.actions)}))
         print(f"generated in {millis:.1f} ms", file=sys.stderr)
         return 0
-    if args.generator == "random-2p":
-        if min(args.m, args.n, args.bound) < 1:
-            raise _UsageError("--m, --n and --bound must be >= 1")
-        b = random_bimatrix(args.m, args.n, args.bound, args.seed)
-        Path(args.output).write_bytes(dump_bimatrix(b))
-        print(json.dumps({"m": b.m, "n": b.n, "cells": b.m * b.n}))
-        return 0
-    raise _UsageError(f"unknown generator {args.generator!r}")
+    # random-2p: argparse's required subparsers admit no other generator
+    if min(args.m, args.n, args.bound) < 1:
+        raise _UsageError("--m, --n and --bound must be >= 1")
+    b = random_bimatrix(args.m, args.n, args.bound, args.seed)
+    Path(args.output).write_bytes(dump_bimatrix(b))
+    print(json.dumps({"m": b.m, "n": b.n, "cells": b.m * b.n}))
+    return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -283,8 +284,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (_UsageError, GalcheckError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cause = exc.__cause__ if isinstance(exc, InterpretationError) else None
+        if cause is None or isinstance(cause, GalcheckError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # every callback the CLI runs is the package's own, so its failure is a defect
+        print(f"error: internal: {exc} ({type(cause).__name__})", file=sys.stderr)
+        return 4
     except Exception as exc:  # never exit 1 ("formula false") on a failure
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

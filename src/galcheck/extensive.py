@@ -8,10 +8,13 @@ fixes strategy enumeration order, tie-breaking, and all serialized output.
 
 The structure encoding turns each history into a state: sort H holds all
 histories, T the terminal ones, U the occurring utility values, and one sort
-per player i, `S<i>`, holds i's strategies.  The state-dependent 0-ary
+per player i, `S<i>` (the sort of i's profile variable), holds i's
+strategies.  One symbol table in `to_gal_structure` defines the encoding:
+it gives each function and predicate its declaration and its meaning, a
+callback on the argument labels at a state.  The state-dependent 0-ary
 function `h` designates the state's own history; `u<i>`, `O`, `O_h`, the
-comparison `ge` on U, and the prefix predicate `onpath` are rigid.  A player
-id equal to any of these names is a `SortError` from the `Signature`.
+comparison `ge` on U, and the prefix predicate `onpath` are rigid.  A
+player id equal to any of these names is a `SortError` from the `Signature`.
 """
 
 from __future__ import annotations
@@ -258,87 +261,69 @@ def profiles(g: ExtensiveGame) -> Iterator[StrategyProfile]:
 
 
 def to_gal_structure(g: ExtensiveGame) -> GalStructure:
-    """Encode the game as a structure whose states are the histories."""
-    states, terms, actions = [], [], []
-    players_at, by_label, utils_seen = {}, {}, set()
+    """The game's structure: its states are the histories, its symbols one table's."""
+    label = {h: history_label(h) for h in g.nodes}
+    by_label = {lab: h for h, lab in label.items()}
+    terms, actions, players_at, utils_seen = [], [], {}, set()
     for h, node in g.nodes.items():
-        label = history_label(h)
-        states.append(label)
-        by_label[label] = h
         if node.is_terminal:
-            terms.append(label)
-            players_at[label] = frozenset()
+            terms.append(label[h])
+            players_at[label[h]] = frozenset()
             utils_seen.update(u for _, u in node.utilities)
         else:
-            players_at[label] = frozenset((node.player,))
-            actions.extend((label, history_label(h + (a,))) for a, _ in node.moves)
+            players_at[label[h]] = frozenset((node.player,))
+            actions.extend((label[h], label[h + (a,)]) for a, _ in node.moves)
 
-    strategy_sets = {p: strategies(g, p) for p in g.players}
-    # Per player, each strategy's history -> action table by its label.
-    tables = [{s.label: s._by_history for s in strategy_sets[p]} for p in g.players]
-    mover = {p: k for k, p in enumerate(g.players)}
-    utils = sorted(utils_seen)
-    util_value = {_frac_label(u): u for u in utils}
-
-    sorts = {"H", "T", "U"} | {f"S{p}" for p in g.players}
-    functions = {
-        "h": FuncDecl((), "H", rigid=False),
-        "O": FuncDecl(tuple(f"S{p}" for p in g.players), "T", rigid=True),
-        "O_h": FuncDecl(("H", *(f"S{p}" for p in g.players)), "T", rigid=True),
-    }
-    for p in g.players:
-        functions[f"u{p}"] = FuncDecl(("T",), "U", rigid=True)
-    predicates = {
-        "ge": PredDecl(("U", "U"), rigid=True),
-        "onpath": PredDecl(("H", "T"), rigid=True),
-    }
-    sig = Signature(sorts, functions, predicates, g.players)
-
-    domains = {
-        "H": states,
-        "T": terms,
-        "U": [_frac_label(u) for u in utils],
-    }
-    for p in g.players:
-        domains[f"S{p}"] = [s.label for s in strategy_sets[p]]
+    profile = tuple(g._profile_variables[p].sort for p in g.players)  # the strategy sorts
+    util_value = {_frac_label(u): u for u in sorted(utils_seen)}
+    domains = {"H": list(label.values()), "T": terms, "U": list(util_value)}
+    tables = {}  # per player, each strategy's history -> action table by its label
+    for p, sort in zip(g.players, profile):
+        tables[p] = {s.label: s._by_history for s in strategies(g, p)}
+        domains[sort] = list(tables[p])
 
     def play(h: History, labels: Sequence[str]) -> str:
         """The label of the terminal history the labelled profile reaches from `h`."""
-        choices = [table[lab] for table, lab in zip(tables, labels)]
+        choices = {p: tables[p][lab] for p, lab in zip(g.players, labels)}
         node = g.nodes[h]
         while not node.is_terminal:
-            h = h + (choices[mover[node.player]][h],)
+            h = h + (choices[node.player][h],)
             node = g.nodes[h]
-        return history_label(h)
+        return label[h]
 
-    def fun_eval(name: str, state: str, args: tuple[str, ...]) -> str:
-        if name == "h":
-            return state
-        if name == "O":
-            return play((), args)
-        if name == "O_h":
-            return play(by_label[args[0]], args[1:])
-        if name.startswith("u"):
-            return _frac_label(utility(g, by_label[args[0]], name[1:]))
-        raise ValueError(f"unknown function {name!r}")
+    def payoff(p: str):
+        return lambda e, a: _frac_label(utility(g, by_label[a[0]], p))
 
-    def pred_eval(name: str, state: str, args: tuple[str, ...]) -> bool:
-        if name == "ge":
-            return util_value[args[0]] >= util_value[args[1]]
-        if name == "onpath":
-            h, t = by_label[args[0]], by_label[args[1]]
-            return t[: len(h)] == h
-        raise ValueError(f"unknown predicate {name!r}")
+    def on_path(e: str, a: tuple[str, ...]) -> bool:
+        h, t = by_label[a[0]], by_label[a[1]]
+        return t[: len(h)] == h
+
+    symbols = {  # name -> (declaration, meaning at state e on the argument labels a)
+        "h": (FuncDecl((), "H", rigid=False), lambda e, a: e),
+        "O": (FuncDecl(profile, "T", rigid=True), lambda e, a: play((), a)),
+        "O_h": (FuncDecl(("H", *profile), "T", rigid=True), lambda e, a: play(by_label[a[0]], a[1:])),
+        **{f"u{p}": (FuncDecl(("T",), "U", rigid=True), payoff(p)) for p in g.players},
+        "ge": (PredDecl(("U", "U"), rigid=True), lambda e, a: util_value[a[0]] >= util_value[a[1]]),
+        "onpath": (PredDecl(("H", "T"), rigid=True), on_path),
+    }
+
+    def meaning(name: str, e: str, a: tuple[str, ...]):
+        return symbols[name][1](e, a)
 
     return GalStructure(
-        sig=sig,
-        states=states,
-        initial=[history_label(())],
+        sig=Signature(
+            set(domains),
+            {name: d for name, (d, _) in symbols.items() if isinstance(d, FuncDecl)},
+            {name: d for name, (d, _) in symbols.items() if isinstance(d, PredDecl)},
+            g.players,
+        ),
+        states=domains["H"],
+        initial=[label[()]],
         actions=actions,
         domains=domains,
         players_at=players_at,
-        fun_eval=fun_eval,
-        pred_eval=pred_eval,
+        fun_eval=meaning,
+        pred_eval=meaning,
     )
 
 
@@ -365,7 +350,7 @@ def _no_gain_by_deviation(g: ExtensiveGame) -> Formula:
     kept = App("O_h", (h, *(vs[p] for p in g.players)))
     conjuncts = []
     for i in g.players:
-        w = Var(f"w{i}", f"S{i}")
+        w = Var(f"w{i}", vs[i].sort)
         swapped = App("O_h", (h, *(w if p == i else vs[p] for p in g.players)))
         body = Pred("ge", (App(f"u{i}", (kept,)), App(f"u{i}", (swapped,))))
         conjuncts.append(Implies(PlayerAtom(i), Forall(w, body)))
@@ -388,7 +373,7 @@ def ne_formula(g: ExtensiveGame) -> Formula:
 
 def profile_valuation(gs: GalStructure, g: ExtensiveGame, s: StrategyProfile) -> Valuation:
     vs = profile_variables(g)
-    return {vs[p]: gs.element(f"S{p}", t.label) for p, t in zip(g.players, s.strategies)}
+    return {vs[p]: gs.element(vs[p].sort, t.label) for p, t in zip(g.players, s.strategies)}
 
 
 # --------------------------------------------------------------------------- #

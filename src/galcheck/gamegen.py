@@ -205,12 +205,10 @@ def tictactoe_structure(px: Policy, po: Policy) -> GalStructure:
         players=("X", "O"),
     )
 
-    def pred_eval(name: str, state: str, args: tuple[str, ...]) -> bool:
+    def meaning(name: str, state: str, args: tuple[str, ...]) -> bool:
         return holds[name](Board(state))
 
-    def fun_eval(name: str, state: str, args: tuple[str, ...]) -> str:
-        raise ValueError(f"unknown function {name!r}")
-
+    # no function is declared, so the provider never calls `fun_eval`
     return GalStructure(
         sig=sig,
         states=states,
@@ -218,8 +216,8 @@ def tictactoe_structure(px: Policy, po: Policy) -> GalStructure:
         actions=actions,
         domains={},
         players_at=players_at,
-        fun_eval=fun_eval,
-        pred_eval=pred_eval,
+        fun_eval=meaning,
+        pred_eval=meaning,
     )
 
 

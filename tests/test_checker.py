@@ -320,6 +320,31 @@ def test_checker_matches_naive_reference_evaluator():
             assert (e in got) == naive_holds(g, e, f, {}), (f, e)
 
 
+def test_checker_matches_naive_reference_evaluator_on_open_formulas():
+    # the same oracle under every valuation of one or two free variables
+    # (binders are named x<k>, so y0 and y1 stay free), for `check` and for
+    # one `check_all` call over all the valuations
+    from _helpers import naive_holds
+
+    rng = random.Random(27182)
+    opened = 0
+    while opened < 60:
+        g = random_structure(rng, max_states=6)
+        free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(1, 2))]
+        f = random_formula(rng, g, depth=3, scope=free)
+        if not free_variables(f):
+            continue  # closed formulas are the test above's
+        opened += 1
+        valuations = [
+            dict(zip(free, elems)) for elems in itertools.product(*(g.domains[y.sort] for y in free))
+        ]
+        for v, together in zip(valuations, check_all(g, f, valuations), strict=True):
+            alone = check(g, f, v).states
+            for e in g.states:
+                want = naive_holds(g, e, f, v)
+                assert (e in alone) == want and (e in together.states) == want, (f, v, e)
+
+
 def _round_based_eu(g, alpha, beta):
     """Reference fixpoint by whole-set rounds; also checks monotone growth
     and termination within |states| rounds."""

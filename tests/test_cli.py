@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from galcheck.cli import main
 from galcheck.textio import load_bimatrix, load_structure
 
@@ -412,6 +414,37 @@ def test_bench_bad_range_exit2(tmp_path, capsys):
     assert code == 2 and "range" in err
 
 
+_GEN = ["gen", "tictactoe", "-o", "{out}"]
+_BENCH = ["bench", "random-2p", "--sizes", "2..3", "--trials", "1", "--bound", "1", "--seed", "0", "-o", "{out}"]
+_CHECK = ["check", "--model", "{model}", "--formula", "@1"]
+
+
+def _with(argv, flag, value):
+    k = argv.index(flag)
+    return [*argv[: k + 1], value, *argv[k + 2 :]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_GEN, "--playerX", "minimax:x", "--playerO", "all"], "bad minimax depth in policy 'minimax:x'"),
+        ([*_GEN, "--playerX", "all", "--playerO", "minimax:0"], "minimax depth must be >= 1"),
+        (_with(_BENCH, "--sizes", "3"), "bad size range '3' (use A..B)"),
+        (_with(_BENCH, "--sizes", "a..3"), "bad size range 'a..3'"),
+        (_with(_BENCH, "--sizes", "0..3"), "bad size range '0..3' (need 1 <= A <= B)"),
+        (_with(_BENCH, "--trials", "0"), "--trials must be >= 1"),
+        (_with(_BENCH, "--bound", "-1"), "--bound must be >= 0"),
+        ([*_CHECK, "--bind", "v1"], "bad binding 'v1' (use VAR=ELEM)"),
+        ([*_CHECK, "--bind", "v1=<A>"], "binding for 'v1', which is not a free variable"),
+    ],
+)
+def test_usage_errors_are_named(example_structure_path, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    argv = [a.format(out=out, model=example_structure_path) for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_bench_constant_bound_zero_gives_square_counts(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     run_cli(
@@ -540,6 +573,37 @@ def test_a_defect_inside_signature_exits4(example_structure_path, capsys, monkey
     monkeypatch.setattr(Signature, "_check", broken_check)
     code, out, err = run_cli(capsys, "check", "--model", str(example_structure_path), "--formula", "true")
     assert (code, out, err) == (4, "", "error: internal: TypeError: names is not a dict\n")
+
+
+def test_a_defect_inside_the_game_encoding_exits4(example_game_path, capsys, monkeypatch):
+    # every callback the CLI runs is the package's own: its failure is no input error
+    import galcheck.extensive as extensive
+
+    def broken_utility(g, h, i):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(extensive, "utility", broken_utility)
+    code, out, err = run_cli(capsys, "eq", "--game", str(example_game_path), "--concept", "ne")
+    assert (code, out) == (4, "")
+    assert err == "error: internal: function 'u1' failed at state '()' on ('(A,L)',): defect (ZeroDivisionError)\n"
+
+
+def test_a_defect_inside_a_table_callback_exits4(example_structure_path, capsys, monkeypatch):
+    import galcheck.textio as textio
+
+    real = textio.table_provider
+
+    def broken_provider(*tables):
+        def pred_eval(name, state, args):
+            raise TypeError("unhashable")
+
+        return real(*tables)[0], pred_eval
+
+    monkeypatch.setattr(textio, "table_provider", broken_provider)
+    model = str(example_structure_path)
+    code, out, err = run_cli(capsys, "check", "--model", model, "--formula", "ge(#U:0, #U:1)")
+    assert (code, out) == (4, "")
+    assert err == "error: internal: predicate 'ge' failed at state '()' on ('0', '1'): unhashable (TypeError)\n"
 
 
 def _one_error_line(code, out, err):

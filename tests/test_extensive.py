@@ -86,6 +86,39 @@ def test_validate_rejects_empty_and_comma_actions():
     assert err.value.violations == ["action 'b,c' at (a) is empty or contains ','"]
 
 
+@pytest.mark.parametrize(
+    "players, root, violation",
+    [
+        ((), terminal({}), "game declares no players"),
+        (
+            ("1",),
+            GameNode(player="1", moves=(("a", terminal({"1": 0})),), utilities=(("1", Fraction(0)),)),
+            "nonterminal () carries utilities",
+        ),
+    ],
+)
+def test_game_violations_are_named(players, root, violation):
+    with pytest.raises(ValidationError) as err:
+        ExtensiveGame(players, root)
+    assert err.value.violations == [violation]
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda g: strategies(g, "1")[0].action_at(("Z",)), "strategy of '1' has no choice at ('Z',)"),
+        (lambda g: next(profiles(g)).by_owner("9"), "profile has no strategy for '9'"),
+        (lambda g: utility(g, ("A",), "1"), "history ('A',) is not terminal"),
+        (lambda g: utility(g, ("Z",), "1"), "history ('Z',) is not terminal"),
+        (lambda g: utility(g, ("B",), "9"), "terminal ('B',) has no utility for '9'"),
+    ],
+)
+def test_lookups_name_what_is_missing(example_game, lookup, message):
+    with pytest.raises(ValueError) as err:
+        lookup(example_game)
+    assert str(err.value) == message
+
+
 def _centipede(n):
     """Players 1 and 2 alternate n times between `take` (the mover gets
     k + 2, the other k) and `pass`; after n passes both get n."""

@@ -36,13 +36,20 @@ def test_board_basics():
 
 
 def test_board_rejects_impossible_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unreachable piece counts in 'XX\.+'$"):
         Board("XX.......")
 
 
 def test_board_rejects_two_winners():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^both sides have completed lines in 'XXXOOO\.\.\.'$"):
         Board("XXXOOO...")
+
+
+@pytest.mark.parametrize("cells", ["XX", "XX?......"])
+def test_board_rejects_malformed_cells(cells):
+    with pytest.raises(ValueError) as info:
+        Board(cells)
+    assert str(info.value) == f"bad board {cells!r}"
 
 
 def test_board_winner_lines():
@@ -221,6 +228,20 @@ def test_random_bimatrix_golden_table():
 def test_random_bimatrix_range():
     b = random_bimatrix(6, 6, 5, 42)
     assert all(0 <= x < 5 for row in (*b.u1, *b.u2) for x in row)
+
+
+@pytest.mark.parametrize(
+    "m, n, bound, message",
+    [
+        (0, 2, 5, "action counts must be >= 1"),
+        (2, 0, 5, "action counts must be >= 1"),
+        (2, 2, 0, "payoff bound must be >= 1"),
+    ],
+)
+def test_random_bimatrix_rejects_empty_shapes(m, n, bound, message):
+    with pytest.raises(ValueError) as info:
+        random_bimatrix(m, n, bound, 1)
+    assert str(info.value) == message
 
 
 def test_derive_seed_is_stable():

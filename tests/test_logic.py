@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from galcheck.cli import main
 from galcheck.errors import GalcheckError, ParseError, SortError, UnknownIdentifierError
 from galcheck.logic import (
     AF,
@@ -169,6 +170,32 @@ def test_parse_reads_tabs_and_newlines_as_spaces(sig):
         with pytest.raises(ParseError) as err:
             parse_formula(text, sig)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("@ & true", "at position 2: found '&' (expected a player id after '@')"),
+        ("h = #H:x", "at position 7: found 'x' (expected a domain index)"),
+        ("h = true", "at position 4: 'true' is a reserved word (expected a term)"),
+        ("exists x:H . x:H = h", "at position 13: variable 'x' is already bound; drop the annotation"),
+    ],
+)
+def test_parse_errors_name_what_was_found(example_structure, example_structure_path, capsys, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, example_structure.sig)
+    assert str(err.value) == message
+    code = main(["check", "--model", str(example_structure_path), "--formula", text])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_parse_reads_empty_argument_lists_inside_arguments(sig, example_structure):
+    on_path = "onpath(h{}, O(#S1:0, #S2:0))"
+    assert parse_formula(on_path.format("()"), example_structure.sig) == parse_formula(
+        on_path.format(""), example_structure.sig
+    )
+    assert parse_formula("ge(a(), g(b()))", sig) == parse_formula("ge(a, g(b))", sig)
+    assert parse_formula("p(g(g(a())))", sig) == Pred("p", (App("g", (App("g", (App("a"),)),)),))
 
 
 def test_parse_pathological_nesting_is_a_parse_error(sig):
@@ -568,6 +595,13 @@ def test_signature_reports_the_first_bad_name_in_sorted_order():
 def test_signature_rejects_undeclared_profile_sort():
     with pytest.raises(SortError):
         Signature(sorts={"S"}, functions={"f": FuncDecl(("T",), "S")})
+    with pytest.raises(SortError, match="^predicate 'p' mentions undeclared sort 'T'$"):
+        Signature(sorts={"S"}, predicates={"p": PredDecl(("S", "T"))})
+
+
+def test_signature_rejects_a_reserved_word_as_a_name():
+    with pytest.raises(SortError, match="^'exists' is a reserved word$"):
+        Signature(sorts={"exists"})
 
 
 def test_well_formed_rejects_bad_player(sig):
@@ -584,6 +618,12 @@ def test_well_formed_checks_arity_and_sorts_of_built_trees(sig):
         well_formed(Eq(App("a"), App("h")), sig)
     with pytest.raises(TypeError):
         well_formed(Not(Var("x", "S")), sig)
+    with pytest.raises(TypeError, match="^a term in formula position: Exists"):
+        well_formed(Exists(Var("x", "S"), App("a")), sig)
+    with pytest.raises(TypeError, match="^not a formula: App"):
+        well_formed(App("a"), sig)
+    with pytest.raises(TypeError, match="^not a formula: App"):
+        pretty(Not(App("a")))
     x, body = Var("x", "S"), Pred("p", (Var("x", "S"),))
     with pytest.raises(SortError, match="'x' bound twice on one quantifier path"):
         well_formed(Exists(x, Not(Forall(x, body))), sig)

@@ -17,19 +17,22 @@ from galcheck.structure import (
 from _helpers import random_structure
 
 
-def tiny_structure(actions, players_at, states=("e0", "e1", "e2")):
+def tiny_structure(actions, players_at, states=("e0", "e1", "e2"), **changes):
+    """A structure without sorts over `states`; `changes` replace any other
+    constructor argument."""
     sig = Signature(sorts=set(), functions={}, predicates={"q": PredDecl(())}, players=("1", "2"))
     fun_eval, pred_eval = table_provider({}, {}, {}, {})
-    return GalStructure(
+    fields = dict(
         sig=sig,
         states=states,
-        initial=[states[0]],
+        initial=list(states[:1]),
         actions=actions,
         domains={},
         players_at=players_at,
         fun_eval=fun_eval,
         pred_eval=pred_eval,
     )
+    return GalStructure(**{**fields, **changes})
 
 
 # --------------------------------------------------------------------------- #
@@ -71,6 +74,23 @@ def test_constructor_lists_every_violation():
         "state 'e2' has players ['1'] but no outgoing action",
     ]
     assert str(err.value) == "; ".join(err.value.violations)
+
+
+@pytest.mark.parametrize(
+    "changes, violation",
+    [
+        ({"states": ()}, "structure has no states"),
+        ({"initial": ["e0", "x"]}, "initial state 'x' is not a declared state"),
+        ({"actions": [("x", "e1")]}, "action ('x', 'e1'): source is not a declared state"),
+        ({"domains": {"Q": ["b"]}}, "domain given for undeclared sort 'Q'"),
+        ({"players_at": {"x": ["1"]}}, "players listed for unknown state 'x'"),
+        ({"actions": [("e0", "e1")], "players_at": {"e0": ["9"]}}, "state 'e0' lists undeclared player '9'"),
+    ],
+)
+def test_each_violation_is_named(changes, violation):
+    with pytest.raises(ValidationError) as err:
+        tiny_structure(**{"actions": [], "players_at": {}, **changes})
+    assert err.value.violations == [violation]
 
 
 def test_duplicates_are_violations():
@@ -165,8 +185,21 @@ def test_provider_rejects_result_outside_domain():
         fun_eval=lambda name, state, args: "not-an-element",
         pred_eval=lambda name, state, args: False,
     )
-    with pytest.raises(InterpretationError):
+    with pytest.raises(InterpretationError) as err:
         eval_term(g, "e0", App("c"))
+    assert str(err.value) == "function 'c' at state 'e0' returned 'not-an-element', not an element of sort 'S'"
+
+
+def test_provider_names_the_symbol_state_and_labels_of_a_failing_callback():
+    def fun_eval(name, state, args):
+        raise ZeroDivisionError("defect")
+
+    sig = Signature({"S"}, {"f": FuncDecl(("S",), "S")}, {}, ())
+    g = tiny_structure([], {}, sig=sig, domains={"S": ["a"]}, fun_eval=fun_eval)
+    with pytest.raises(InterpretationError) as err:
+        eval_term(g, "e1", App("f", (DomainConst("S", 0),)))
+    assert str(err.value) == "function 'f' failed at state 'e1' on ('a',): defect"
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_provider_memoizes_per_state_and_rigid():
@@ -208,6 +241,13 @@ def test_lasso_path_must_close():
     g = tiny_structure(actions=[("e0", "e1"), ("e1", "e0"), ("e1", "e2")], players_at={})
     assert path_violations(g, Path(("e0", "e1"), cycle_start=0)) == []
     assert path_violations(g, Path(("e0", "e1"), cycle_start=1))
+    assert path_violations(g, Path(("e0", "e1"), cycle_start=2)) == ["cycle start out of range"]
+
+
+def test_maximal_paths_stop_at_their_limit(example_structure):
+    assert len(list(maximal_paths(example_structure, "()", limit=3))) == 3
+    with pytest.raises(RuntimeError, match="^more than 2 maximal paths$"):
+        list(maximal_paths(example_structure, "()", limit=2))
 
 
 def test_maximal_paths_end_in_deadlock_or_lasso():

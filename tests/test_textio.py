@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from galcheck.cli import main
 from galcheck.errors import SchemaError, ValidationError
 from galcheck.extensive import histories, terminal_histories, to_gal_structure, utility
 from galcheck.gamegen import random_bimatrix
@@ -55,6 +56,41 @@ def test_load_structure_rejects_unknown_field(example_structure_path):
     with pytest.raises(SchemaError) as err:
         load_structure(json.dumps(doc))
     assert "extra" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["functions"]["h"].update(rigid="yes"), "/functions/h/rigid: expected a boolean"),
+        (lambda d: d["functions"]["h"].update(result="Q"), "/functions/h: undeclared sort 'Q'"),
+        (lambda d: d["predicates"]["ge"].update(args=["U", "Q"]), "/predicates/ge: undeclared sort 'Q'"),
+        (lambda d: d["sorts"].update(exists=["a"]), "/: 'exists' is a reserved word"),
+        (lambda d: d.update(initial=["nowhere"]), "/initial/0: initial state 'nowhere' is not declared"),
+        (
+            lambda d: d["rigid"]["funcs"]["u1"].update({"(B)": "7"}),
+            "/rigid/funcs/u1: value '7' is not an element of sort 'U'",
+        ),
+        (
+            lambda d: d["rigid"]["preds"]["ge"].append(["0", "9"]),
+            "/rigid/preds/ge/6: '9' is not an element of sort 'U'",
+        ),
+        (
+            lambda d: d["states"][0]["funcs"].update(h={"x": "()"}),
+            "/states/0/funcs/h: 0-ary entry must use key \"\", got 'x'",
+        ),
+        (lambda d: d.update(states=[], actions=[], initial=[]), "structure has no states"),
+    ],
+)
+def test_structure_file_errors_are_named(example_structure_path, tmp_path, capsys, change, message):
+    doc = json.loads(example_structure_path.read_text())
+    change(doc)
+    with pytest.raises((SchemaError, ValidationError)) as err:
+        load_structure(json.dumps(doc))
+    assert str(err.value) == message
+    path = tmp_path / "bad.structure.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", str(path), "--formula", "true"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_structure_rejects_dangling_action(example_structure_path):
@@ -252,6 +288,34 @@ def test_load_game_rejects_zero_denominator():
     assert "/root/moves/A/utilities/1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "expected a number or [num, den] pair"),
+        ("1", "expected a number or [num, den] pair"),
+        ([1], "expected a [num, den] pair of integers"),
+        ([1, 2.0], "expected a [num, den] pair of integers"),
+    ],
+)
+def test_utility_shape_errors_are_named(tmp_path, capsys, value, message):
+    doc = {"players": ["1"], "root": {"utilities": {"1": value}}}
+    _game_file_error(tmp_path, capsys, doc, f"/root/utilities/1: {message}")
+
+
+def test_a_game_file_without_players_is_rejected(tmp_path, capsys):
+    _game_file_error(tmp_path, capsys, {"players": [], "root": {"utilities": {}}}, "game declares no players")
+
+
+def _game_file_error(tmp_path, capsys, doc, message):
+    with pytest.raises((SchemaError, ValidationError)) as err:
+        load_game(json.dumps(doc))
+    assert str(err.value) == message
+    path = tmp_path / "bad.game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eq", "--game", str(path), "--concept", "ne"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_game_rejects_empty_moves():
     doc = {"players": ["1"], "root": {"player": "1", "moves": {}}}
     with pytest.raises(SchemaError):
@@ -284,6 +348,23 @@ def test_bimatrix_action_count_below_one_names_its_field(field):
         load_bimatrix(json.dumps(doc))
     assert err.value.path == f"/{field}"
     assert str(err.value) == f"/{field}: action counts must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"m": "2"}, "/m: expected an integer"),
+        ({"n": 1.0}, "/n: expected an integer"),
+        ({"seed": True}, "/seed: expected an integer"),
+        ({"u1": [[0]]}, "/u1: expected 2 rows"),
+        ({"u2": [[0], [0.5]]}, "/u2/1: expected an integer payoff"),
+    ],
+)
+def test_bimatrix_file_errors_are_named(change, message):
+    doc = {"m": 2, "n": 1, "u1": [[0], [0]], "u2": [[0], [0]], "seed": 0, **change}
+    with pytest.raises(SchemaError) as err:
+        load_bimatrix(json.dumps(doc))
+    assert str(err.value) == message
 
 
 def test_bimatrix_rejects_ragged_rows():
