@@ -27,19 +27,27 @@ polarity of an operand edge, so `!` is never an instance of its own; an
 abbreviation builds edges with `logic.ABBREVIATIONS`, the table
 `expand_abbreviations` builds nodes with.  Its errors are `check`'s, in
 `check`'s order: any `well_formed` error, then a too-deep core, then a
-missing or foreign binding, then an out-of-range `#S:i` literal.  It
-then labels on demand (local model checking): an instance only on its
-care set, the states whose value its parent needs, starting from the
-states of interest `at` at the root.  A negated edge is the set
-difference of the parent's care set and the operand's marks.  `a -> b`
-labels `b` only where `a` holds; `exists` drops a state once an element
-marks it and stops when none is left; `AX` passes down the successors;
-`E[U]`/`A[U]` label the right operand on the forward closure of the care
-set and the left operand only where the right one fails.  Term values are likewise computed lazily, on the
-states some care set reaches.  So `galcheck check` evaluates a table
-entry only where a care set reaches it, and its stats are `check_all`'s:
-`subformulas` counts no `!` and no instance that no care set reaches,
-and `millis` leaves out compilation.
+missing or foreign binding, then an out-of-range `#S:i` literal.
+
+`check_all` binds every valuation, then decides each instance for all of
+them at once, as first-order CTL model checking over sets of (state,
+assignment) pairs (Bohn, Damm, Grumberg, Hungar, Laster, FSTTCS 1998): a
+label maps a state to the mask of the valuations under which the instance
+holds there.  It labels on demand (local model checking): an instance only
+on its care set, the (state, valuation) pairs whose value its parent
+needs, from the states of interest `at` at the root.  A negated edge is
+the care set less the operand's marks.  `a -> b` labels `b` only where `a`
+holds; `exists` drops a pair once an element marks it and stops when none
+is left; `AX` passes down the successors; `E[U]`/`A[U]` label the right
+operand on the forward closure of the care set and the left operand only
+where the right one fails.  A term is evaluated only where a care set
+reaches: one element per state where no slot of it varies with the
+valuation, else a partition of the valuations by value, as terms are value
+partitions in algebraic decision diagrams (Bahar et al., ICCAD 1993).  So
+`galcheck check` evaluates a table entry only where a care set reaches it,
+and its stats are `check_all`'s: `subformulas` counts no `!` and no
+instance that no care set reaches, and `millis` leaves out compilation and
+binding.
 """
 
 from __future__ import annotations
@@ -84,6 +92,7 @@ from .logic import (
 from .structure import GalStructure, Valuation, eval_term
 
 LabelKey = tuple  # (subformula, ((var, elem), ...) sorted by variable name)
+_NO_SLOTS: frozenset[int] = frozenset()
 
 
 def label_key(f: Formula, env: Valuation, free: dict[int, frozenset[Var]] | None = None) -> LabelKey:
@@ -133,7 +142,10 @@ class CheckStats:
     instances labelled (a subformula with the elements bound to its free
     variables), not (instance, state) pairs, so labelling fewer states of
     an instance does not lower it.  In `check_all`, a `!` is an edge, not an
-    instance, and is not counted."""
+    instance, and is not counted; an instance there is a subformula with the
+    elements `exists` binds, labelled for every valuation at once, so the
+    stats (instances labelled, labelling time) describe the whole call and
+    are the same in every `SatSet` it returns."""
 
     states: int
     actions: int
@@ -320,7 +332,11 @@ def _valuation_check(g: GalStructure, variables: Iterable[Var]):
             raise BindingError(f"free variables not assigned: {', '.join(missing)}")
         env: dict[Var, DomainElem] = {}
         for (var, dom), elem in zip(doms, elems):
-            if elem.sort != var.sort or not (0 <= elem.index < len(dom)) or dom[elem.index] != elem:
+            if (
+                elem.sort != var.sort
+                or not 0 <= elem.index < len(dom)
+                or (dom[elem.index] is not elem and dom[elem.index] != elem)  # most are the domain's own
+            ):
                 raise BindingError(
                     f"binding for {var.name}:{var.sort} is not an element of that sort's domain"
                 )
@@ -367,6 +383,111 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     return _sat_set(g, f, env, marks, store, t0)
 
 
+# --------------------------------------------------------------------------- #
+# `check_all`'s labels.  A label or care set is a pair (the states whose
+# mask is full, {state: a partial mask}); a state in neither has the empty
+# mask.  So where every mask is full, as in any one-valuation check, the
+# work is set work.
+
+
+def _masks(a: tuple, full: int) -> dict:
+    marks = dict.fromkeys(a[0], full)
+    marks.update(a[1])
+    return marks
+
+
+def _from_masks(marks: dict, full: int) -> tuple:
+    whole = {k for k, x in marks.items() if x == full}
+    return whole, {k: x for k, x in marks.items() if x != full} if len(whole) < len(marks) else {}
+
+
+def _meet(a: tuple, b: tuple) -> tuple:
+    (af, ap), (bf, bp) = a, b
+    if not ap and not bp:
+        return af & bf, ap
+    part = {k: x for k, x in ap.items() if k in bf}
+    for k, x in bp.items():
+        if k in af:
+            part[k] = x
+        elif x & ap.get(k, 0):
+            part[k] = x & ap[k]
+    return af & bf, part
+
+
+def _minus(a: tuple, b: tuple, full: int) -> tuple:
+    (af, ap), (bf, bp) = a, b
+    if not bp:
+        return af - bf, {k: x for k, x in ap.items() if k not in bf} if ap else ap
+    part = {k: full ^ x for k, x in bp.items() if k in af}
+    for k, x in ap.items():
+        if k not in bf and x & ~bp.get(k, 0):
+            part[k] = x & ~bp.get(k, 0)
+    return af.difference(bf, bp), part
+
+
+def _join(a: tuple, b: tuple, full: int) -> tuple:
+    (af, ap), (bf, bp) = a, b
+    if not ap and not bp:
+        return af | bf, ap
+    whole, part = {*af, *bf}, {}
+    for k, x in (*ap.items(), *bp.items()):
+        if k not in whole:
+            x |= part.get(k, 0)
+            if x == full:
+                whole.add(k)
+                del part[k]
+            else:
+                part[k] = x
+    return whole, part
+
+
+def _where(a: tuple, hold: Set[int]) -> tuple:
+    """The part of `a` at the states of `hold`, which are states of `a`."""
+    af, ap = a
+    return (hold, ap) if not ap else (af & hold, {k: x for k, x in ap.items() if k in hold})
+
+
+def _closure(succ: list[list[int]], care: tuple, full: int) -> tuple:
+    """`care` carried forward along every path."""
+    marks = set(care[0]) if not care[1] else _masks(care, full)
+    todo = list(marks)
+    while todo:
+        k = todo.pop()
+        for s in succ[k]:
+            if not care[1]:
+                if s not in marks:
+                    marks.add(s)
+                    todo.append(s)
+            elif marks[k] | marks.get(s, 0) != marks.get(s, 0):
+                marks[s] = marks[k] | marks.get(s, 0)
+                todo.append(s)
+    return (marks, {}) if not care[1] else _from_masks(marks, full)
+
+
+def _until(g: GalStructure, eu: bool, stay: tuple, goal: tuple, full: int) -> tuple:
+    """Least fixpoint Z = goal or (stay and some/every successor in Z): by
+    `_eu_marks`/`_au_marks` where every mask is full, else by propagating
+    masks backward from the goal."""
+    if not stay[1] and not goal[1]:
+        return (_eu_marks if eu else _au_marks)(g, stay[0], goal[0]), {}
+    pred, succ = g.predecessor_indices(), g.successor_indices()
+    left, marks = _masks(stay, full), _masks(goal, full)
+    todo = list(marks)
+    while todo:
+        s = todo.pop()
+        for p in pred[s]:
+            x = left.get(p, 0) & ~marks.get(p, 0)
+            if eu:
+                x &= marks[s]
+            else:
+                for q in succ[p]:
+                    x &= marks.get(q, 0)
+            if x:
+                marks[p] = marks.get(p, 0) | x
+                todo.append(p)
+    return _from_masks(marks, full)
+
+
 def check_all(
     g: GalStructure,
     f: Formula,
@@ -374,24 +495,18 @@ def check_all(
     at: Iterable[str] | None = None,
 ) -> list[SatSet]:
     """`check(g, f, v)` for every valuation `v`, in order, in one pass,
-    restricted to the states `at` (state ids; default every state).
+    restricted to the states `at` (state ids; default every state), as the
+    module docstring says.
 
-    The formula is compiled once, in `well_formed`'s walk of the tree as
-    written, as the module docstring says: each node is sort-checked, and
-    its core form gets a node number, free-variable slots and `!` folded
-    into operand edges, with no expanded tree built; its `#S:i` literals are
-    checked against the domains on the way, and reported after the first
-    valuation's binding check.  The slots give the keys and the
-    root's free variables for the binding check.  Each valuation is labeled
-    with a store of its own, on demand: an instance only on its care set,
-    and only on the states the store has not decided yet.  The stats count
-    the instances labeled.  Instances and terms are keyed by a node id and
-    the indices of the elements in the slots of their free variables.  A
-    term's values are filled on the states a care set asks for, and shared
-    by every valuation that agrees on the term's variables:
-    `u_i(O_h(h, w_i, v_-i))` is evaluated once for all profiles that differ
-    only in player i's strategy.  So interpretation callbacks run only on
-    the states whose value is needed.  Nothing outlives the call.
+    Valuation j is bit j of a mask.  A slot that every valuation binds to
+    one element holds its index in `env`, as a slot that `exists` binds
+    does; a slot the valuations disagree on varies: it holds None, and its
+    group gives each of its elements the mask of the valuations binding it.
+    An instance's key is a node with the elements in its slots that do not
+    vary (a slot that `exists` rebinds counts as one that does not).  A term
+    with no varying slot has one value per state, in its vector; any other
+    term's value at a state is a partition, {element index: mask}.  The
+    stats describe the whole call.  Nothing outlives the call.
     """
     states, succ = g.states, g.successor_indices()
     n = len(states)
@@ -411,37 +526,57 @@ def check_all(
     numbers: dict[tuple, int] = {}
     kinds: list[type] = []
     attrs: list[tuple] = []  # names, sorts and indices
-    kids: list[tuple] = []
+    kids: list = []
     free: list[frozenset[int]] = []
     slots: dict[int, int] = {}  # number of a variable -> its slot
     variables: dict[int, Var] = {}  # number of a variable -> its first node in `f`
+    bound: set[int] = set()  # the slots that `exists` binds
+    domain: dict[int, tuple] = {}  # number of a term -> its sort's domain
+    still: set[int] = set()  # the terms with the same value at every state
     out_of_range: list[tuple] = []
+    functions = g.sig.functions
 
     def node(cls: type, names: tuple, *ops: tuple) -> tuple:
         """The (edge, core height) of a node of `cls` with these names,
         sorts and indices, over operands given the same way."""
-        key = (cls, names, *[e for e, _ in ops])
+        height, edges, fv = 0, [], _NO_SLOTS
+        for edge, h in ops:  # nearly every call makes a node, so fv is not wasted
+            edges.append(edge)
+            if h > height:
+                height = h
+            if free[edge[0]]:
+                fv = fv | free[edge[0]] if fv else free[edge[0]]
+        key = (cls, names, *edges)
         i = numbers.get(key)
         if i is None:
             i = numbers[key] = len(kinds)
-            edges = key[2:]
-            fv = frozenset().union(*[free[j] for j, _ in edges])
             if cls is Var:
                 slots[i] = len(slots)
                 fv = frozenset([slots[i]])
+                domain[i] = g.domains[names[1]]
+                still.add(i)
             elif cls is Exists:
                 slot = slots[edges[0][0]]
-                fv -= {slot}
+                bound.add(slot)
+                fv = fv - {slot}
                 edges = (slot, edges[1])  # the bound slot and the body's edge
             elif cls is App or cls is Pred or cls is Eq:
-                edges = tuple([j for j, _ in edges])  # terms are never negated
-            elif cls is DomainConst and not 0 <= names[1] < len(g.domains[names[0]]):
-                out_of_range.append(names)
+                edges = [j for j, _ in edges]  # terms are never negated
+                if cls is App:
+                    decl = functions[names[0]]
+                    domain[i] = g.domains[decl.result]
+                    if decl.rigid and still.issuperset(edges):
+                        still.add(i)
+            elif cls is DomainConst:
+                domain[i] = g.domains[names[0]]
+                still.add(i)
+                if not 0 <= names[1] < len(domain[i]):
+                    out_of_range.append(names)
             kinds.append(cls)
             attrs.append(names)
             kids.append(edges)
             free.append(fv)
-        return (i, False), 1 + max([h for _, h in ops], default=0)
+        return (i, False), height + 1
 
     def negate(op: tuple) -> tuple:
         (i, neg), h = op
@@ -470,132 +605,289 @@ def check_all(
     # nodes, as `profile_valuation`'s are, finds each binding by identity.
     free_slots = {variables[j]: slot for j, slot in slots.items() if slot in free[root]}
     checked = _valuation_check(g, free_slots)
-    # A node's key is its number, paired with the element indices in the
-    # slots of its free variables when it has any.
-    getters = [itemgetter(*sorted(fv)) if fv else None for fv in free]
-    sort_of = {slot: g.domains[attrs[j][1]] for j, slot in slots.items()}
-    players_of = [g.players_at.get(e, frozenset()) for e in states]
-    pred, fun = g.interp.pred, g.interp.fun
-    vectors: dict[tuple, list] = {}
+    bindings = []  # each valuation's (variable, element) pairs in name order, as `SatSet` holds them
+    for v in valuations:
+        bindings.append(tuple(checked(v).items()))
+        if out_of_range:
+            break  # `check` raises it only once the bindings pass
+    if out_of_range:
+        s, index = out_of_range[0]
+        raise InterpretationError(f"#{s}:{index} is out of range for sort {s!r}")
+    if not bindings:
+        return []
 
-    def vector(t: int, env: list[int], care: Set[int]) -> list:
-        """Term t's values by state index, filled at least on `care`."""
+    full = (1 << len(bindings)) - 1
+    sort_of = {slot: domain[j] for j, slot in slots.items()}
+    env: list = [None] * len(slots)
+    groups: dict[int, dict[int, int]] = {}
+    columns: dict[int, list[int]] = {}  # a varying slot's element index per valuation
+    for p, (var, _) in enumerate(bindings[0]):
+        column = [b[p][1].index for b in bindings]
+        group = dict.fromkeys(column, 0)
+        if len(group) == 1:
+            env[free_slots[var]] = column[0]
+        else:
+            for j, d in enumerate(column):
+                group[d] |= 1 << j
+            groups[free_slots[var]], columns[free_slots[var]] = group, column
+    rebound = groups.keys() & bound
+    varying = groups.keys() - rebound
+    getter_of, vslots_of = {}, {}  # by free slots: the key getter and the varying slots
+    for fv in set(free):
+        key = sorted(fv - varying)
+        getter_of[fv] = itemgetter(*key) if key else None
+        vslots_of[fv] = tuple(sorted(fv & groups.keys()))
+    getters = list(map(getter_of.__getitem__, free))
+    vslots = list(map(vslots_of.__getitem__, free))
+    # A node over a slot that `exists` binds is asked once per element by
+    # that `exists`, which keeps its own label and partitions: kept too, its
+    # labels would hold masks for every element of the sort.
+    kept = list(map(bound.isdisjoint, free))
+    movers: dict[str, set[int]] = {}  # player -> the states where they move
+    pred, fun = g.interp.pred, g.interp.fun
+    vectors: dict = {}
+    partitions: dict = {}
+    projections: dict = {}
+    places: dict = {}
+    store: dict = {}
+    passing: set = set()  # the instances labelled whose labels are not kept
+
+    def vector(t: int, care) -> list:
+        """Term t's values by state index, filled at least on `care`; no
+        slot of t varies."""
         get = getters[t]
         key = (t, get(env)) if get else t
         vec = vectors.get(key)
+        if vec is None and t in still:  # one value for every state
+            k, args = next(iter(care)), []
+            for a in kids[t]:  # a loop, not a comprehension: one frame per level of a deep term
+                args.append(vector(a, care)[k])
+            kind = kinds[t]
+            elem = (
+                sort_of[slots[t]][env[slots[t]]] if kind is Var
+                else domain[t][attrs[t][1]] if kind is DomainConst
+                else fun(attrs[t][0], states[k], tuple(args))
+            )
+            vec = vectors[key] = [elem] * n
+            return vec
         if vec is None:
-            if kinds[t] is not App:  # a variable or a literal: one element everywhere
-                if kinds[t] is Var:
-                    slot = slots[t]
-                    elem = sort_of[slot][env[slot]]
-                else:
-                    s, index = attrs[t]
-                    elem = g.domains[s][index]
-                vec = vectors[key] = [elem] * n
-                return vec
             vec = vectors[key] = [None] * n
             missing = care
-        elif kinds[t] is not App:
+        elif t in still:
             return vec
         else:
             missing = [k for k in care if vec[k] is None]
             if not missing:
                 return vec
-        args = []  # a loop, not a comprehension: one frame per level of a deep term
+        args = []
         for a in kids[t]:
-            args.append(vector(a, env, missing))
+            args.append(vector(a, missing))
         name = attrs[t][0]
         for k in missing:
             vec[k] = fun(name, states[k], tuple([a[k] for a in args]))
         return vec
 
-    def closure(care: Set[int]) -> set[int]:
-        seen = set(care)
-        todo = list(care)
-        while todo:
-            for s in succ[todo.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    todo.append(s)
-        return seen
+    def value(t: int, k: int) -> DomainElem:
+        """Term t's element at state k; no slot of t varies.  One over a
+        slot that `exists` binds is evaluated afresh."""
+        if kinds[t] is Var:
+            return sort_of[slots[t]][env[slots[t]]]
+        if not kept[t]:
+            args = []
+            for a in kids[t]:  # a loop, not a comprehension: one frame per level of a deep term
+                args.append(sort_of[slots[a]][env[slots[a]]] if kinds[a] is Var else value(a, k))
+            return fun(attrs[t][0], states[k], tuple(args))
+        get = getters[t]
+        vec = vectors.get((t, get(env)) if get else t)
+        if vec is None or vec[k] is None:
+            vec = vector(t, (k,))
+        return vec[k]
 
-    def label(i: int, env: list[int], care: Set[int]) -> Set[int]:
-        """The states of `care` where node i holds.  Care sets are never
+    def partition(t: int, k: int, c: int) -> dict:
+        """Term t's values at state k under the valuations of mask c, as
+        {element index: mask}: disjoint masks that cover c and may cover
+        more, so a caller meets them with c.  A kept term's are kept, per
+        state unless it is still."""
+        if not vslots[t]:
+            return {value(t, k).index: c}
+        if kinds[t] is Var:
+            slot = slots[t]
+            return groups[slot] if env[slot] is None else {env[slot]: c}
+        if kept[t]:
+            key = t if t in still else (t, k)
+            covered, part = partitions.get(key, (0, {}))
+            need = c & ~covered
+            if not need:
+                return part
+        else:
+            need = c
+        name, e, out, ops = attrs[t][0], states[k], {}, kids[t]
+        if len(ops) == 1 and kinds[ops[0]] is not Var:  # one value per value of its operand
+            cases = [((domain[ops[0]][d],), x & need) for d, x in partition(ops[0], k, need).items()]
+        else:
+            cases = args_of(t, k, need)
+        for args, x in cases:
+            if x:
+                d = fun(name, e, args).index
+                out[d] = out.get(d, 0) | x
+        if kept[t]:
+            for d, x in part.items():
+                out[d] = out.get(d, 0) | x
+            partitions[key] = covered | need, out
+        return out
+
+    def args_of(i: int, k: int, c: int) -> list:
+        """Each argument tuple the operands of term or atom i take at state
+        k under the valuations of mask c, with its nonempty mask: where the
+        operands that vary are variables, one per assignment of them that a
+        valuation of c makes, else one per combination of the operands'
+        values whose masks meet."""
+        ops = kids[i]
+        if i not in places:  # (position, index in i's varying slots) of each variable that varies
+            at = [(p, vslots[i].index(slots[a])) for p, a in enumerate(ops) if vslots[a] and kinds[a] is Var]
+            places[i] = at if not rebound and len(at) == sum(map(bool, map(vslots.__getitem__, ops))) else None
+        at, out = places[i], []
+        if at:
+            args = [None if vslots[a] else value(a, k) for a in ops]
+            for elems, x in projection(vslots[i]):
+                x &= c
+                if x:
+                    for p, q in at:
+                        args[p] = elems[q]
+                    out.append((tuple(args), x))
+            return out
+        out = [((), c)]
+        for a in ops:  # a loop, not a comprehension: two frames per level of a deep term
+            if not vslots[a]:
+                e = value(a, k)
+                out = [(args + (e,), x) for args, x in out]
+            else:
+                part, dom = partition(a, k, c).items(), domain[a]
+                out = [(args + (dom[d],), x & y) for args, x in out for d, y in part if x & y]
+        return out
+
+    def projection(vs: tuple) -> list:
+        """Each assignment of elements to the slots vs that a valuation
+        makes, with the mask of the valuations making it."""
+        entries = projections.get(vs)
+        if entries is None:
+            found: dict[tuple, int] = {}
+            for j, row in enumerate(zip(*[columns[s] for s in vs])):
+                found[row] = found.get(row, 0) | 1 << j
+            doms = [sort_of[s] for s in vs]
+            entries = projections[vs] = [(tuple(map(tuple.__getitem__, doms, row)), x) for row, x in found.items()]
+        return entries
+
+    def label(i: int, care: tuple) -> tuple:
+        """The part of `care` where node i holds.  Care sets are never
         mutated once passed, because the store may keep them."""
-        if not care:
+        if not care[0] and not care[1]:
             return care
         get = getters[i]
         key = (i, get(env)) if get else i
-        entry = store.get(key)
+        entry = store.get(key) if kept[i] else None
         if entry is None:
             todo = care
         else:
-            todo = care - entry[0]
-            if not todo:
-                return entry[1] & care
+            todo = _minus(care, entry[0], full)
+            if not todo[0] and not todo[1]:
+                return _meet(entry[1], care)
         kind, decided = kinds[i], todo
-        if kind is Pred:
-            args = [vector(a, env, todo) for a in kids[i]]
-            name = attrs[i][0]
-            marks = {k for k in todo if pred(name, states[k], tuple([a[k] for a in args]))}
-        elif kind is Eq:
-            left, right = [vector(a, env, todo) for a in kids[i]]
-            marks = {k for k in todo if left[k] == right[k]}
-        elif kind is Implies:
+        if (kind is Pred or kind is Eq) and not vslots[i]:
+            every = todo[0] if not todo[1] else [*todo[0], *todo[1]]
+            args = [vector(a, every) for a in kids[i]]
+            if kind is Eq:
+                left, right = args
+                marks = _where(todo, {k for k in every if left[k] == right[k]})
+            else:
+                name = attrs[i][0]
+                marks = _where(todo, {k for k in every if pred(name, states[k], tuple([a[k] for a in args]))})
+        elif kind is Pred or kind is Eq:
+            got, name = {}, attrs[i][0] if kind is Pred else None
+            for k, c in _masks(todo, full).items():
+                x, e = 0, states[k]
+                for args, y in args_of(i, k, c):
+                    if pred(name, e, args) if name else args[0] == args[1]:
+                        x |= y
+                if x:
+                    got[k] = x
+            marks = _from_masks(got, full)
+        elif kind is Implies:  # todo less where a holds and b does not
             (a, neg_a), (b, neg_b) = kids[i]
-            holds = todo - label(a, env, todo) if neg_a else label(a, env, todo)
-            marks = (todo - holds) | (holds - label(b, env, holds) if neg_b else label(b, env, holds))
+            holds = label(a, todo)
+            if neg_a:
+                holds = _minus(todo, holds, full)
+            then = label(b, holds)
+            marks = _minus(todo, then if neg_b else _minus(holds, then, full), full)
         elif kind is Exists:
             slot, (body, neg) = kids[i]
-            saved, rest, marks = env[slot], todo, set()
+            saved, rest = env[slot], todo  # the part of todo no element marks yet
             for d in range(len(sort_of[slot])):
                 env[slot] = d
-                found = rest - label(body, env, rest) if neg else label(body, env, rest)
-                if found:
-                    marks |= found
-                    rest = rest - found
-                    if not rest:
-                        break
+                holds = label(body, rest)
+                rest = holds if neg else _minus(rest, holds, full)
+                if not rest[0] and not rest[1]:
+                    break
             env[slot] = saved
+            marks = _minus(todo, rest, full)
         elif kind is AX:
             ((body, neg),) = kids[i]
-            after = {s for k in todo for s in succ[k]}
-            holds = after - label(body, env, after) if neg else label(body, env, after)
-            marks = {k for k in todo if all(s in holds for s in succ[k])}
+            after = {}
+            for k, c in _masks(todo, full).items() if todo[1] else ():
+                for s in succ[k]:
+                    after[s] = after.get(s, 0) | c
+            after = _from_masks(after, full) if todo[1] else ({s for k in todo[0] for s in succ[k]}, {})
+            holds = label(body, after)
+            holds = _minus(after, holds, full) if neg else holds
+            if not todo[1] and not holds[1]:
+                marks = {k for k in todo[0] if all(s in holds[0] for s in succ[k])}, {}
+            else:
+                holds, got = _masks(holds, full), {}
+                for k, c in _masks(todo, full).items():
+                    for s in succ[k]:
+                        c &= holds.get(s, 0)
+                    if c:
+                        got[k] = c
+                marks = _from_masks(got, full)
         elif kind is EU or kind is AU:
             (a, neg_a), (b, neg_b) = kids[i]
-            decided = closure(todo)
-            goal = decided - label(b, env, decided) if neg_b else label(b, env, decided)
-            live = decided - goal
-            stay = live - label(a, env, live) if neg_a else label(a, env, live)
-            marks = (_eu_marks if kind is EU else _au_marks)(g, stay, goal)
+            decided = _closure(succ, todo, full)
+            goal = label(b, decided)
+            if neg_b:
+                goal = _minus(decided, goal, full)
+            live = _minus(decided, goal, full)
+            stay = label(a, live)
+            marks = _until(g, kind is EU, _minus(live, stay, full) if neg_a else stay, goal, full)
         elif kind is PlayerAtom:
-            player = attrs[i][0]
-            marks = {k for k in todo if player in players_of[k]}
+            if not movers:
+                for k, e in enumerate(states):
+                    for player in g.players_at.get(e, ()):
+                        movers.setdefault(player, set()).add(k)
+            marks = _meet(todo, (movers.get(attrs[i][0], frozenset()), {}))
         else:  # Top
             marks = todo
-        if entry is not None:
-            decided, marks = entry[0] | decided, entry[1] | marks
-        store[key] = (decided, marks)
-        return marks if decided is care else marks & care
+        if not kept[i]:
+            passing.add(key)
+        elif entry is None:
+            store[key] = decided, marks
+        else:
+            store[key] = _join(entry[0], decided, full), _join(entry[1], marks, full)
+            decided, marks = store[key]
+        return marks if decided is care else _meet(marks, care)
 
+    t0 = time.perf_counter()
+    marks = label(root, (focus, {}))
+    if negated_root:
+        marks = _minus((focus, {}), marks, full)
+    stats = CheckStats(n, len(g.actions), len(store) + len(passing), (time.perf_counter() - t0) * 1000.0)
+    bits = [(states[k], format(x, f"0{len(bindings)}b")[::-1]) for k, x in marks[1].items()]
+    sets = {(): frozenset([states[k] for k in marks[0]])}  # one frozenset per distinct answer
     out = []
-    for v in valuations:
-        bindings = checked(v)
-        if out_of_range:
-            break  # `check` raises it only once the bindings pass
-        env = [0] * len(slots)
-        for var, elem in bindings.items():
-            env[free_slots[var]] = elem.index
-        t0 = time.perf_counter()
-        store: dict = {}
-        marks = label(root, env, focus)
-        if negated_root:
-            marks = focus - marks
-        out.append(_sat_set(g, f, bindings, marks, store, t0))
-    if out_of_range:
-        s, index = out_of_range[0]
-        raise InterpretationError(f"#{s}:{index} is out of range for sort {s!r}")
+    for j, b in enumerate(bindings):
+        extra = tuple([e for e, flags in bits if flags[j] == "1"]) if bits else ()
+        if extra not in sets:
+            sets[extra] = sets[()].union(extra)
+        out.append(SatSet(sets[extra], f, b, stats))
     return out
 
 

@@ -778,7 +778,7 @@ class _Parser:
         be bound twice or capture a free variable, and its body's scope."""
         t = self.next()
         if t.kind != "IDENT":
-            raise ParseError(f"found {t.value!r}", t.pos, "a variable name")
+            raise ParseError(f"found {t.value or 'end of input'!r}", t.pos, "a variable name")
         name = t.value
         if name in RESERVED_WORDS:
             raise ParseError(f"{name!r} is a reserved word", t.pos)
@@ -803,7 +803,7 @@ class _Parser:
         if t.value == "@":
             p = self.next()
             if p.kind not in ("IDENT", "NUM"):
-                raise ParseError(f"found {p.value!r}", p.pos, "a player id after '@'")
+                raise ParseError(f"found {p.value or 'end of input'!r}", p.pos, "a player id after '@'")
             if p.value not in self.sig.players:
                 raise UnknownIdentifierError(f"unknown player {p.value!r}")
             return PlayerAtom(p.value)
@@ -852,7 +852,7 @@ class _Parser:
             self.expect(":")
             num = self.next()
             if num.kind != "NUM":
-                raise ParseError(f"found {num.value!r}", num.pos, "a domain index")
+                raise ParseError(f"found {num.value or 'end of input'!r}", num.pos, "a domain index")
             try:
                 return DomainConst(sort, int(num.value))
             except ValueError:  # more digits than Python converts

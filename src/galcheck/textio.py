@@ -225,8 +225,10 @@ def _pred_rows(rows: Any, decl: PredDecl, index: Mapping, path: str) -> set:
 def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str) -> tuple[str, ...]:
     """Split a comma-joined argument key into element labels.
 
-    The key is cut at its commas once, and argument i takes as many pieces
-    as one of its sort's labels has, looked up among that sort's labels.
+    The key is cut at its commas once.  Where no label of the argument
+    sorts holds a comma, piece i is argument i, looked up in its sort's
+    labels.  Otherwise argument i takes as many pieces as one of its sort's
+    labels has, looked up among that sort's labels.
     The parse runs left to right without recursion: after each argument,
     every piece offset reached, with its number of parses (capped at 2) and
     the labels it was first reached by, kept only while the pieces left fit
@@ -238,6 +240,10 @@ def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: s
         raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
     pieces = key.split(",") if key else []  # the key "" joins no labels
     n = len(arg_sorts)
+    if all([index[sort][1] == [1] for sort in arg_sorts]):  # no label holds a comma: one way to cut
+        if len(pieces) == n and all([piece in index[sort][0] for piece, sort in zip(pieces, arg_sorts)]):
+            return tuple(pieces)
+        raise SchemaError(f"argument key {key!r} does not match the declared sorts", path)
     fewest, most = [0] * (n + 1), [0] * (n + 1)  # the pieces that arguments i.. can take
     for i in reversed(range(n)):
         counts = index[arg_sorts[i]][1] or [0]

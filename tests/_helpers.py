@@ -77,13 +77,14 @@ def split_argskey_oracle(key: str, domains: list[list[str]]) -> list[tuple[str, 
 # Random structures
 
 
-def random_structure(rng: random.Random, max_states: int = 20) -> GalStructure:
-    """A random validated structure over a small two-sort signature."""
+def random_structure(rng: random.Random, max_states: int = 20, widths: tuple[int, int] = (1, 4)) -> GalStructure:
+    """A random validated structure over a small two-sort signature, each
+    sort with between `widths` elements."""
     n_states = rng.randint(1, max_states)
     states = [f"e{k}" for k in range(n_states)]
     sorts = {}
     for name in ("s0", "s1")[: rng.randint(1, 2)]:
-        sorts[name] = [f"{name}_{j}" for j in range(rng.randint(1, 4))]
+        sorts[name] = [f"{name}_{j}" for j in range(rng.randint(*widths))]
     sort_names = list(sorts)
     s0 = sort_names[0]
 

@@ -20,12 +20,16 @@ from galcheck.checker import (
 from galcheck.errors import BindingError, GalcheckError, InterpretationError, ValidationError
 from galcheck.extensive import (
     EquilibriumConcept,
+    ExtensiveGame,
+    decision,
     enumerate_equilibria,
     ne_formula,
     oracle_equilibria,
+    profile_count,
     profile_valuation,
     profiles,
     spe_formula,
+    terminal,
     to_gal_structure,
 )
 from galcheck.logic import (
@@ -608,6 +612,117 @@ def test_check_all_equilibria_match_holds_at_and_oracle():
             found = enumerate_equilibria(game, concept)
             assert found == [s for s, sat in zip(candidates, sats) if root in sat.states]
             assert found == oracle_equilibria(game, concept)
+
+
+def test_check_all_masks_wider_than_a_machine_word():
+    # two and three free variables over sorts of 9 to 12 elements: more than
+    # 64 and more than 1024 valuations in one check_all call, so the masks
+    # of a label span several machine words; every valuation's answer is
+    # check's, and a sample of them the naive evaluator's
+    from _helpers import naive_holds
+
+    rng = random.Random(65537)
+    for n_free, least, low in ((2, 64, 9), (3, 1024, 11)):
+        tried = 0
+        while tried < 2:
+            g = random_structure(rng, max_states=4, widths=(low, low + 1))
+            free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(n_free)]
+            f = random_formula(rng, g, depth=2, scope=free)
+            if len(free_variables(f)) < 2:
+                continue
+            tried += 1
+            valuations = _all_valuations(g, free)
+            assert len(valuations) > least
+            together = check_all(g, f, valuations)
+            for k, (v, got) in enumerate(zip(valuations, together, strict=True)):
+                assert got.states == check(g, f, v).states, (f, v)
+                if k % 97 == 0:
+                    assert got.states == {e for e in g.states if naive_holds(g, e, f, v)}, (f, v)
+
+
+def test_check_all_rebinds_a_variable_the_valuations_bind():
+    # a variable free in one operand and bound by `exists` in the other: its
+    # slot takes the valuation's element outside the quantifier and each
+    # element of its sort inside
+    rng = random.Random(1729)
+    tried = 0
+    while tried < 30:
+        g = random_structure(rng, max_states=6, widths=(2, 4))
+        y, z = Var("y", "s0"), Var("z", rng.choice(sorted(g.domains)))
+        a, b = (random_formula(rng, g, depth=2, scope=[y, z]) for _ in range(2))
+        f = rng.choice([And, Or, EU])(a, Exists(y, b))
+        if y not in free_variables(a) or y not in free_variables(b):
+            continue
+        tried += 1
+        _assert_same_as_check(g, f, _all_valuations(g, sorted(free_variables(f), key=lambda v: v.name)))
+
+
+def _lopsided_game(rng, branching):
+    """Player 1 moves at the root, player 2 at each of its children, and each
+    of player 2's moves ends the game with seeded payoffs below 5."""
+    moves = "abcdefgh"[:branching]
+    return ExtensiveGame(
+        ("1", "2"),
+        decision("1", {
+            a: decision("2", {b: terminal({"1": rng.randrange(5), "2": rng.randrange(5)}) for b in moves})
+            for a in moves
+        }),
+    )
+
+
+def test_check_all_on_a_1024_profile_game_matches_the_oracle():
+    game = _lopsided_game(random.Random(1024), 4)
+    assert profile_count(game) == 1024
+    for concept in EquilibriumConcept:
+        assert enumerate_equilibria(game, concept) == oracle_equilibria(game, concept)
+
+
+def test_check_all_shares_its_work_across_valuations(example_structure, example_game):
+    # the labels hold a bit per valuation, so a repeated valuation labels
+    # no instance more: the same answers, twice, and the same instances
+    g = example_structure
+    valuations = [profile_valuation(g, example_game, s) for s in profiles(example_game)]
+    for f in (ne_formula(example_game), spe_formula(example_game)):
+        for at in (None, ["()"]):
+            once = check_all(g, f, valuations, at=at)
+            twice = check_all(g, f, valuations + valuations, at=at)
+            assert [s.states for s in twice] == [s.states for s in once] * 2
+            assert [s.valuation for s in twice] == [s.valuation for s in once] * 2
+            assert {s.stats.subformulas for s in twice} == {once[0].stats.subformulas}
+            assert len({id(s.stats) for s in twice}) == 1  # one stats object for the call
+
+
+def test_check_all_binds_every_valuation_before_labelling(example_game):
+    # a binding error in the last valuation is raised before any
+    # interpretation callback runs
+    g = to_gal_structure(example_game)
+    calls = []
+    fun_eval, pred_eval = g.interp.fun_eval, g.interp.pred_eval
+    g.interp.fun_eval = lambda *a: calls.append(a) or fun_eval(*a)
+    g.interp.pred_eval = lambda *a: calls.append(a) or pred_eval(*a)
+    valuations = [profile_valuation(g, example_game, s) for s in profiles(example_game)]
+    for last in ({}, {**valuations[0], Var("v1", "S1"): g.domains["S2"][0]}):
+        with pytest.raises(BindingError):
+            check_all(g, ne_formula(example_game), [*valuations, last])
+        assert calls == []
+    check_all(g, ne_formula(example_game), valuations)
+    assert calls
+
+
+def test_check_all_reads_a_deep_term_that_varies_with_the_valuation():
+    # a term MAX_DEPTH - 3 levels deep over a variable with a value per
+    # valuation is read without running out of recursion
+    rng = random.Random(4242)
+    g = random_structure(rng, max_states=5, widths=(3, 4))
+    y = Var("y", "s0")
+    term = y
+    for _ in range(MAX_DEPTH - 4):
+        term = App("f", (term,))
+    f = AX(Eq(term, App("c")))
+    assert f._height == MAX_DEPTH - 1
+    valuations = _all_valuations(g, [y])
+    for v, got in zip(valuations, check_all(g, f, valuations), strict=True):
+        assert got.states == check(g, f, v).states
 
 
 def test_formulas_at_the_depth_bound_answer_and_deeper_ones_are_rejected(example_structure):

@@ -179,6 +179,10 @@ def test_parse_reads_tabs_and_newlines_as_spaces(sig):
         ("h = #H:x", "at position 7: found 'x' (expected a domain index)"),
         ("h = true", "at position 4: 'true' is a reserved word (expected a term)"),
         ("exists x:H . x:H = h", "at position 13: variable 'x' is already bound; drop the annotation"),
+        # the end of input is named as every other parse error names it
+        ("@", "at position 1: found 'end of input' (expected a player id after '@')"),
+        ("exists", "at position 6: found 'end of input' (expected a variable name)"),
+        ("h = #H:", "at position 7: found 'end of input' (expected a domain index)"),
     ],
 )
 def test_parse_errors_name_what_was_found(example_structure, example_structure_path, capsys, text, message):
