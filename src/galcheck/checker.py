@@ -16,7 +16,9 @@ once per call; it answers the public `check` alone.  Everything else in
 the package goes through `check_all`: `holds_at`, `galcheck check` and
 `enumerate_equilibria`.  Both reject a core formula deeper than
 `logic.MAX_DEPTH`, so neither labeller runs out of Python's recursion
-limit; neither keeps anything once it returns.  `check` runs
+limit; neither keeps anything once it returns (`check_all` unbinds its
+self-recursive helpers, so its tables go at the return, not at the next
+cyclic collection), and the structure keeps no answers.  `check` runs
 `well_formed`, then `expand_abbreviations`.  `check_all` instead
 compiles the formula as written, in `well_formed`'s one walk, and builds
 no core tree: it numbers the distinct core nodes children first (equal
@@ -876,7 +878,10 @@ def check_all(
         return marks if decided is care else _meet(marks, care)
 
     t0 = time.perf_counter()
-    marks = label(root, (focus, {}))
+    try:
+        marks = label(root, (focus, {}))
+    finally:  # each of these reaches itself through its cell: unbound, the call's tables go with it
+        label = vector = value = partition = args_of = None
     if negated_root:
         marks = _minus((focus, {}), marks, full)
     stats = CheckStats(n, len(g.actions), len(store) + len(passing), (time.perf_counter() - t0) * 1000.0)

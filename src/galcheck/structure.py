@@ -4,8 +4,9 @@ A structure owns a fixed state set, an action relation, one finite ordered
 domain per sort, a player set per state, and an interpretation provider that
 evaluates function and predicate symbols on demand.  Raw evaluation callbacks
 work on element labels (plain strings); the provider resolves labels to
-`DomainElem` values, validates results against the declared profiles, and
-memoizes per (symbol, state, arguments) — rigid symbols ignore the state.
+`DomainElem` values and validates results against the declared profiles.
+It keeps no answers: every evaluation runs the callback, and a checker
+shares the answers a call reuses in its own per-call tables.
 A structure is checked once, when it is built: the constructor raises one
 `ValidationError` that lists every violated invariant, so every
 `GalStructure` that exists is well formed.
@@ -26,11 +27,11 @@ RawPredEval = Callable[[str, str, tuple[str, ...]], bool]
 
 
 class InterpretationProvider:
-    """On-demand, memoized evaluation of interpreted symbols.
+    """On-demand evaluation of interpreted symbols through the raw callbacks.
 
-    The memo table is keyed by (symbol, state, argument labels); rigid
-    symbols use a state key of None so every state shares one entry.
-    Evaluation must be deterministic.
+    Every call runs its callback; nothing is kept between calls.  Evaluation
+    must be deterministic: a checker may evaluate a symbol once and reuse
+    the answer, and evaluates a term of rigid symbols at one state only.
     """
 
     def __init__(
@@ -44,48 +45,35 @@ class InterpretationProvider:
         self._by_label = by_label  # each sort's domain elements by label
         self.fun_eval = fun_eval
         self.pred_eval = pred_eval
-        self._funs: dict[tuple, DomainElem] = {}
-        self._preds: dict[tuple, bool] = {}
 
     def fun(self, name: str, state: str, args: tuple[DomainElem, ...]) -> DomainElem:
-        decl = self.sig.functions[name]
+        result = self.sig.functions[name].result
         labels = tuple([a.label for a in args])
-        key = (name, None if decl.rigid else state, labels)
-        hit = self._funs.get(key)
-        if hit is not None:
-            return hit
-        out = self._raw("function", name, state, labels)
-        elem = self._by_label.get(decl.result, {}).get(out)
+        try:
+            out = self.fun_eval(name, state, labels)
+        except InterpretationError:
+            raise
+        except Exception as exc:  # surface the term/state context
+            raise InterpretationError(
+                f"function {name!r} failed at state {state!r} on {labels!r}: {exc}"
+            ) from exc
+        elem = self._by_label.get(result, {}).get(out)
         if elem is None:
             raise InterpretationError(
                 f"function {name!r} at state {state!r} returned {out!r}, "
-                f"not an element of sort {decl.result!r}"
+                f"not an element of sort {result!r}"
             )
-        self._funs[key] = elem
         return elem
 
     def pred(self, name: str, state: str, args: tuple[DomainElem, ...]) -> bool:
-        decl = self.sig.predicates[name]
         labels = tuple([a.label for a in args])
-        key = (name, None if decl.rigid else state, labels)
-        hit = self._preds.get(key)
-        if hit is not None:
-            return hit
-        out = self._raw("predicate", name, state, labels)
-        self._preds[key] = out
-        return out
-
-    def _raw(self, kind: str, name: str, state: str, labels: tuple[str, ...]):
-        """A memo miss: the raw callback's answer, its failures raised as InterpretationError."""
         try:
-            if kind == "function":
-                return self.fun_eval(name, state, labels)
             return bool(self.pred_eval(name, state, labels))
         except InterpretationError:
             raise
         except Exception as exc:  # surface the term/state context
             raise InterpretationError(
-                f"{kind} {name!r} failed at state {state!r} on {labels!r}: {exc}"
+                f"predicate {name!r} failed at state {state!r} on {labels!r}: {exc}"
             ) from exc
 
 

@@ -199,8 +199,10 @@ def _tables(obj: dict, sig: Signature, index: Mapping, rigid: bool, path: str) -
 
 def _func_entries(table: Any, decl: FuncDecl, index: Mapping, path: str) -> dict:
     entries: dict[tuple[str, ...], str] = {}
+    # no label of the argument sorts holds a comma: each key has one way to cut
+    commaless = all([index[sort][1] == [1] for sort in decl.args])
     for key, value in _as_obj(table, path).items():
-        args = _split_argskey(key, decl.args, index, path)
+        args = _split_argskey(key, decl.args, index, path, commaless)
         value = _as_str(value, path)
         if value not in index[decl.result][0]:
             raise SchemaError(f"value {value!r} is not an element of sort {decl.result!r}", path)
@@ -222,13 +224,15 @@ def _pred_rows(rows: Any, decl: PredDecl, index: Mapping, path: str) -> set:
     return relation
 
 
-def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str) -> tuple[str, ...]:
+def _split_argskey(
+    key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str, commaless: bool
+) -> tuple[str, ...]:
     """Split a comma-joined argument key into element labels.
 
     The key is cut at its commas once.  Where no label of the argument
-    sorts holds a comma, piece i is argument i, looked up in its sort's
-    labels.  Otherwise argument i takes as many pieces as one of its sort's
-    labels has, looked up among that sort's labels.
+    sorts holds a comma (`commaless`), piece i is argument i, looked up
+    in its sort's labels.  Otherwise argument i takes as many pieces as
+    one of its sort's labels has, looked up among that sort's labels.
     The parse runs left to right without recursion: after each argument,
     every piece offset reached, with its number of parses (capped at 2) and
     the labels it was first reached by, kept only while the pieces left fit
@@ -240,7 +244,7 @@ def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: s
         raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
     pieces = key.split(",") if key else []  # the key "" joins no labels
     n = len(arg_sorts)
-    if all([index[sort][1] == [1] for sort in arg_sorts]):  # no label holds a comma: one way to cut
+    if commaless:  # one way to cut
         if len(pieces) == n and all([piece in index[sort][0] for piece, sort in zip(pieces, arg_sorts)]):
             return tuple(pieces)
         raise SchemaError(f"argument key {key!r} does not match the declared sorts", path)

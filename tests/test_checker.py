@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -675,6 +676,38 @@ def test_check_all_on_a_1024_profile_game_matches_the_oracle():
     assert profile_count(game) == 1024
     for concept in EquilibriumConcept:
         assert enumerate_equilibria(game, concept) == oracle_equilibria(game, concept)
+
+
+def test_check_all_leaves_nothing_behind_when_it_returns():
+    # no table of a call outlives it, and none waits for the cyclic
+    # collector: on CI's lopsided game with 4 moves (1 024 profiles), NE and
+    # SPE leave nothing to collect and nothing allocated once their results
+    # are dropped
+    moves = "abcd"
+    game = ExtensiveGame(
+        ("1", "2"),
+        decision("1", {
+            a: decision("2", {b: terminal({"1": (3 * i + j) % 5, "2": (i + 2 * j) % 5}) for j, b in enumerate(moves)})
+            for i, a in enumerate(moves)
+        }),
+    )
+    g = to_gal_structure(game)
+    valuations = [profile_valuation(g, game, s) for s in profiles(game)]
+    formulas = [ne_formula(game), spe_formula(game)]
+    assert len(valuations) == 1024
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for f in formulas:
+            sats = check_all(g, f, valuations, at=["()"])
+            assert any("()" in sat.states for sat in sats)
+            del sats
+        assert gc.collect() == 0
+        assert tracemalloc.get_traced_memory()[0] < 64 * 1024
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_check_all_shares_its_work_across_valuations(example_structure, example_game):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from galcheck.checker import check_all
 from galcheck.errors import InterpretationError, ValidationError
 from galcheck.extensive import to_gal_structure
-from galcheck.logic import App, DomainConst, FuncDecl, PredDecl, Signature, Var
+from galcheck.logic import App, DomainConst, FuncDecl, Pred, PredDecl, Signature, Var
 from galcheck.structure import (
     GalStructure,
     Path,
@@ -202,12 +203,15 @@ def test_provider_names_the_symbol_state_and_labels_of_a_failing_callback():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
-def test_provider_memoizes_per_state_and_rigid():
+def test_provider_runs_the_callbacks_again_on_every_call():
+    # the structure keeps no answers between calls: the same check_all and
+    # eval_term run every callback again, as often; inside one check_all a
+    # term of rigid symbols alone is evaluated at one state only
     calls = []
     sig = Signature(
         sorts={"S"},
         functions={"c": FuncDecl((), "S"), "r": FuncDecl((), "S", rigid=True)},
-        predicates={},
+        predicates={"p": PredDecl(("S", "S"))},
         players=(),
     )
 
@@ -215,13 +219,25 @@ def test_provider_memoizes_per_state_and_rigid():
         calls.append((name, state))
         return "x"
 
-    g = GalStructure(sig, ["e0", "e1"], ["e0"], [], {"S": ["x"]}, {}, fun_eval, lambda *a: False)
-    for e in ("e0", "e1", "e0", "e1"):
-        eval_term(g, e, App("c"))
-        eval_term(g, e, App("r"))
-    assert calls.count(("c", "e0")) == 1
-    assert calls.count(("c", "e1")) == 1
-    assert sum(1 for name, _ in calls if name == "r") == 1
+    def pred_eval(name, state, args):
+        calls.append((name, state))
+        return True
+
+    g = GalStructure(sig, ["e0", "e1"], ["e0"], [], {"S": ["x"]}, {}, fun_eval, pred_eval)
+    f = Pred("p", (App("c"), App("r")))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert check_all(g, f, [{}])[0].states == {"e0", "e1"}
+        checked = list(calls)
+        for e in ("e0", "e1", "e0"):
+            eval_term(g, e, App("c"))
+            eval_term(g, e, App("r"))
+        runs.append((checked, calls[len(checked):]))
+    assert runs[0] == runs[1]
+    checked, evaluated = runs[0]
+    assert sorted(checked) == [("c", "e0"), ("c", "e1"), ("p", "e0"), ("p", "e1"), ("r", "e0")]
+    assert len(evaluated) == 6
 
 
 # --------------------------------------------------------------------------- #
