@@ -369,10 +369,9 @@ def check(g: GalStructure, f: Formula, v: Valuation | None = None) -> SatSet:
     """
     # The only caller of `_label`; all else goes through check_all.  Returning
     # check_all(g, f, [v])[0] here cut bimatrix-ne's wall_s (seed 1, 55 s)
-    # 0.232 -> 0.093 s, and a compact `_label` that keys each instance once
-    # ran a pass 1.9x faster.  But a faster check fits more rounds, and
-    # peak_rss_mb, which grows with the round count, rose 24.6 -> 33.9 MB
-    # (+38 %, bound 10 %).  So `_label`'s per-request work must not change
+    # 0.243 -> 0.082 s, but a faster check fits more rounds (173 -> 417), and
+    # peak_rss_mb, which grows with the round count, rose 25.8 -> 37.1 MB
+    # (+44 %, bound 10 %).  So `_label`'s per-request work must not change
     # until the benchmark stops counting rounds in peak_rss_mb; then this can
     # return check_all(g, f, [v])[0] and `_label` can go.
     well_formed(f, g.sig)
@@ -468,8 +467,9 @@ def _closure(succ: list[list[int]], care: tuple, full: int) -> tuple:
 
 def _until(g: GalStructure, eu: bool, stay: tuple, goal: tuple, full: int) -> tuple:
     """Least fixpoint Z = goal or (stay and some/every successor in Z): by
-    `_eu_marks`/`_au_marks` where every mask is full, else by propagating
-    masks backward from the goal."""
+    `_eu_marks`/`_au_marks` where every mask is full (a tic-tac-toe battery
+    ran 1.6x slower on masks alone), else by propagating masks backward
+    from the goal."""
     if not stay[1] and not goal[1]:
         return (_eu_marks if eu else _au_marks)(g, stay[0], goal[0]), {}
     pred, succ = g.predecessor_indices(), g.successor_indices()
@@ -622,7 +622,6 @@ def check_all(
     sort_of = {slot: domain[j] for j, slot in slots.items()}
     env: list = [None] * len(slots)
     groups: dict[int, dict[int, int]] = {}
-    columns: dict[int, list[int]] = {}  # a varying slot's element index per valuation
     for p, (var, _) in enumerate(bindings[0]):
         column = [b[p][1].index for b in bindings]
         group = dict.fromkeys(column, 0)
@@ -631,9 +630,8 @@ def check_all(
         else:
             for j, d in enumerate(column):
                 group[d] |= 1 << j
-            groups[free_slots[var]], columns[free_slots[var]] = group, column
-    rebound = groups.keys() & bound
-    varying = groups.keys() - rebound
+            groups[free_slots[var]] = group
+    varying = groups.keys() - bound
     getter_of, vslots_of = {}, {}  # by free slots: the key getter and the varying slots
     for fv in set(free):
         key = sorted(fv - varying)
@@ -649,8 +647,6 @@ def check_all(
     pred, fun = g.interp.pred, g.interp.fun
     vectors: dict = {}
     partitions: dict = {}
-    projections: dict = {}
-    places: dict = {}
     store: dict = {}
     passing: set = set()  # the instances labelled whose labels are not kept
 
@@ -708,8 +704,8 @@ def check_all(
     def partition(t: int, k: int, c: int) -> dict:
         """Term t's values at state k under the valuations of mask c, as
         {element index: mask}: disjoint masks that cover c and may cover
-        more, so a caller meets them with c.  A kept term's are kept, per
-        state unless it is still."""
+        more, so a caller meets them with c.  One callback per tuple of
+        `args_of`.  A kept term's are kept, per state unless it is still."""
         if not vslots[t]:
             return {value(t, k).index: c}
         if kinds[t] is Var:
@@ -723,15 +719,10 @@ def check_all(
                 return part
         else:
             need = c
-        name, e, out, ops = attrs[t][0], states[k], {}, kids[t]
-        if len(ops) == 1 and kinds[ops[0]] is not Var:  # one value per value of its operand
-            cases = [((domain[ops[0]][d],), x & need) for d, x in partition(ops[0], k, need).items()]
-        else:
-            cases = args_of(t, k, need)
-        for args, x in cases:
-            if x:
-                d = fun(name, e, args).index
-                out[d] = out.get(d, 0) | x
+        name, e, out = attrs[t][0], states[k], {}
+        for args, x in args_of(t, k, need):
+            d = fun(name, e, args).index
+            out[d] = out.get(d, 0) | x
         if kept[t]:
             for d, x in part.items():
                 out[d] = out.get(d, 0) | x
@@ -740,26 +731,12 @@ def check_all(
 
     def args_of(i: int, k: int, c: int) -> list:
         """Each argument tuple the operands of term or atom i take at state
-        k under the valuations of mask c, with its nonempty mask: where the
-        operands that vary are variables, one per assignment of them that a
-        valuation of c makes, else one per combination of the operands'
-        values whose masks meet."""
-        ops = kids[i]
-        if i not in places:  # (position, index in i's varying slots) of each variable that varies
-            at = [(p, vslots[i].index(slots[a])) for p, a in enumerate(ops) if vslots[a] and kinds[a] is Var]
-            places[i] = at if not rebound and len(at) == sum(map(bool, map(vslots.__getitem__, ops))) else None
-        at, out = places[i], []
-        if at:
-            args = [None if vslots[a] else value(a, k) for a in ops]
-            for elems, x in projection(vslots[i]):
-                x &= c
-                if x:
-                    for p, q in at:
-                        args[p] = elems[q]
-                    out.append((tuple(args), x))
-            return out
+        k under the valuations of mask c, with its nonempty mask: one per
+        combination of the operands' values whose masks meet.  A variable
+        that varies takes its group, so a term over varying variables alone
+        gets one tuple per assignment of them that a valuation of c makes."""
         out = [((), c)]
-        for a in ops:  # a loop, not a comprehension: two frames per level of a deep term
+        for a in kids[i]:  # a loop, not a comprehension: two frames per level of a deep term
             if not vslots[a]:
                 e = value(a, k)
                 out = [(args + (e,), x) for args, x in out]
@@ -768,21 +745,11 @@ def check_all(
                 out = [(args + (dom[d],), x & y) for args, x in out for d, y in part if x & y]
         return out
 
-    def projection(vs: tuple) -> list:
-        """Each assignment of elements to the slots vs that a valuation
-        makes, with the mask of the valuations making it."""
-        entries = projections.get(vs)
-        if entries is None:
-            found: dict[tuple, int] = {}
-            for j, row in enumerate(zip(*[columns[s] for s in vs])):
-                found[row] = found.get(row, 0) | 1 << j
-            doms = [sort_of[s] for s in vs]
-            entries = projections[vs] = [(tuple(map(tuple.__getitem__, doms, row)), x) for row, x in found.items()]
-        return entries
-
     def label(i: int, care: tuple) -> tuple:
         """The part of `care` where node i holds.  Care sets are never
-        mutated once passed, because the store may keep them."""
+        mutated once passed, because the store may keep them.  Atoms with no
+        varying slot, and `AX`'s successors of full masks, take set paths: on
+        masks alone, tic-tac-toe ran 12 % slower and `AX` formulas 8 %."""
         if not care[0] and not care[1]:
             return care
         get = getters[i]
@@ -840,17 +807,13 @@ def check_all(
                     after[s] = after.get(s, 0) | c
             after = _from_masks(after, full) if todo[1] else ({s for k in todo[0] for s in succ[k]}, {})
             holds = label(body, after)
-            holds = _minus(after, holds, full) if neg else holds
-            if not todo[1] and not holds[1]:
-                marks = {k for k in todo[0] if all(s in holds[0] for s in succ[k])}, {}
-            else:
-                holds, got = _masks(holds, full), {}
-                for k, c in _masks(todo, full).items():
-                    for s in succ[k]:
-                        c &= holds.get(s, 0)
-                    if c:
-                        got[k] = c
-                marks = _from_masks(got, full)
+            holds, got = _masks(_minus(after, holds, full) if neg else holds, full), {}
+            for k, c in _masks(todo, full).items():
+                for s in succ[k]:
+                    c &= holds.get(s, 0)
+                if c:
+                    got[k] = c
+            marks = _from_masks(got, full)
         elif kind is EU or kind is AU:
             (a, neg_a), (b, neg_b) = kids[i]
             decided = _closure(succ, todo, full)

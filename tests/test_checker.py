@@ -678,19 +678,24 @@ def test_check_all_on_a_1024_profile_game_matches_the_oracle():
         assert enumerate_equilibria(game, concept) == oracle_equilibria(game, concept)
 
 
-def test_check_all_leaves_nothing_behind_when_it_returns():
-    # no table of a call outlives it, and none waits for the cyclic
-    # collector: on CI's lopsided game with 4 moves (1 024 profiles), NE and
-    # SPE leave nothing to collect and nothing allocated once their results
-    # are dropped
-    moves = "abcd"
-    game = ExtensiveGame(
+def _ci_lopsided_game(moves):
+    """CI's lopsided game over these moves: player 1 at the root, player 2 at
+    each child, and move j after move i pays (3i + j) mod 5 and (i + 2j) mod 5."""
+    return ExtensiveGame(
         ("1", "2"),
         decision("1", {
             a: decision("2", {b: terminal({"1": (3 * i + j) % 5, "2": (i + 2 * j) % 5}) for j, b in enumerate(moves)})
             for i, a in enumerate(moves)
         }),
     )
+
+
+def test_check_all_leaves_nothing_behind_when_it_returns():
+    # no table of a call outlives it, and none waits for the cyclic
+    # collector: on CI's lopsided game with 4 moves (1 024 profiles), NE and
+    # SPE leave nothing to collect and nothing allocated once their results
+    # are dropped
+    game = _ci_lopsided_game("abcd")
     g = to_gal_structure(game)
     valuations = [profile_valuation(g, game, s) for s in profiles(game)]
     formulas = [ne_formula(game), spe_formula(game)]
@@ -708,6 +713,30 @@ def test_check_all_leaves_nothing_behind_when_it_returns():
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def test_check_all_callbacks_over_every_profile_of_a_1024_profile_game():
+    # NE and SPE at `()` over every profile of CI's lopsided game with 4
+    # moves run exactly these interpretation callbacks, and find the
+    # oracle's equilibria.  Of those calls, NE asks 3 486 distinct (symbol,
+    # args) keys and SPE 5 182, keyed without the state for a rigid symbol.
+    game = _ci_lopsided_game("abcd")
+    g = to_gal_structure(game)
+    candidates = list(profiles(game))
+    valuations = [profile_valuation(g, game, s) for s in candidates]
+    funs, preds = [], []
+    fun_eval, pred_eval = g.interp.fun_eval, g.interp.pred_eval
+    g.interp.fun_eval = lambda *a: funs.append(a) or fun_eval(*a)
+    g.interp.pred_eval = lambda *a: preds.append(a) or pred_eval(*a)
+    for concept, f, counts in (
+        (EquilibriumConcept.NE, ne_formula(game), (6213, 1747)),
+        (EquilibriumConcept.SPE, spe_formula(game), (11317, 1411)),
+    ):
+        funs.clear()
+        preds.clear()
+        sats = check_all(g, f, valuations, at=["()"])
+        assert (len(funs), len(preds)) == counts
+        assert [s for s, sat in zip(candidates, sats) if "()" in sat.states] == oracle_equilibria(game, concept)
 
 
 def test_check_all_shares_its_work_across_valuations(example_structure, example_game):
