@@ -44,12 +44,13 @@ is left; `AX` passes down the successors; `E[U]`/`A[U]` label the right
 operand on the forward closure of the care set and the left operand only
 where the right one fails.  A term is evaluated only where a care set
 reaches: one element per state where no slot of it varies with the
-valuation, else a partition of the valuations by value, as terms are value
-partitions in algebraic decision diagrams (Bahar et al., ICCAD 1993).  So
-`galcheck check` evaluates a table entry only where a care set reaches it,
-and its stats are `check_all`'s: `subformulas` counts no `!` and no
-instance that no care set reaches, and `millis` leaves out compilation and
-binding.
+valuation, kept for the call even over a slot that `exists` binds, else a
+partition of the valuations by value, not kept over such a slot, as terms
+are value partitions in algebraic decision diagrams (Bahar et al., ICCAD
+1993).  So `galcheck check` evaluates a table entry only where a care set
+reaches it, and its stats are `check_all`'s: `subformulas` counts no `!`
+and no instance that no care set reaches, and `millis` leaves out
+compilation and binding.
 """
 
 from __future__ import annotations
@@ -650,64 +651,37 @@ def check_all(
     store: dict = {}
     passing: set = set()  # the instances labelled whose labels are not kept
 
-    def vector(t: int, care) -> list:
-        """Term t's values by state index, filled at least on `care`; no
-        slot of t varies."""
+    def value(t: int, k: int) -> DomainElem:
+        """Term t's element at state k; no slot of t varies.  A variable
+        reads `env`; any other term's values by state are kept for the call
+        under t and the elements in its slots, also over a slot that
+        `exists` binds, and a still term's fill every state at once."""
+        kind = kinds[t]
+        if kind is Var:
+            return sort_of[slots[t]][env[slots[t]]]
         get = getters[t]
         key = (t, get(env)) if get else t
         vec = vectors.get(key)
-        if vec is None and t in still:  # one value for every state
-            k, args = next(iter(care)), []
-            for a in kids[t]:  # a loop, not a comprehension: one frame per level of a deep term
-                args.append(vector(a, care)[k])
-            kind = kinds[t]
-            elem = (
-                sort_of[slots[t]][env[slots[t]]] if kind is Var
-                else domain[t][attrs[t][1]] if kind is DomainConst
-                else fun(attrs[t][0], states[k], tuple(args))
-            )
-            vec = vectors[key] = [elem] * n
-            return vec
-        if vec is None:
-            vec = vectors[key] = [None] * n
-            missing = care
-        elif t in still:
-            return vec
+        if vec is not None and vec[k] is not None:
+            return vec[k]
+        if kind is DomainConst:
+            elem = domain[t][attrs[t][1]]
         else:
-            missing = [k for k in care if vec[k] is None]
-            if not missing:
-                return vec
-        args = []
-        for a in kids[t]:
-            args.append(vector(a, missing))
-        name = attrs[t][0]
-        for k in missing:
-            vec[k] = fun(name, states[k], tuple([a[k] for a in args]))
-        return vec
-
-    def value(t: int, k: int) -> DomainElem:
-        """Term t's element at state k; no slot of t varies.  One over a
-        slot that `exists` binds is evaluated afresh."""
-        if kinds[t] is Var:
-            return sort_of[slots[t]][env[slots[t]]]
-        if not kept[t]:
             args = []
             for a in kids[t]:  # a loop, not a comprehension: one frame per level of a deep term
-                args.append(sort_of[slots[a]][env[slots[a]]] if kinds[a] is Var else value(a, k))
-            return fun(attrs[t][0], states[k], tuple(args))
-        get = getters[t]
-        vec = vectors.get((t, get(env)) if get else t)
-        if vec is None or vec[k] is None:
-            vec = vector(t, (k,))
-        return vec[k]
+                args.append(value(a, k))
+            elem = fun(attrs[t][0], states[k], tuple(args))
+        if vec is None:
+            vec = vectors[key] = [elem] * n if t in still else [None] * n
+        vec[k] = elem
+        return elem
 
     def partition(t: int, k: int, c: int) -> dict:
         """Term t's values at state k under the valuations of mask c, as
         {element index: mask}: disjoint masks that cover c and may cover
-        more, so a caller meets them with c.  One callback per tuple of
-        `args_of`.  A kept term's are kept, per state unless it is still."""
-        if not vslots[t]:
-            return {value(t, k).index: c}
+        more, so a caller meets them with c; some slot of t varies.  One
+        callback per tuple of `args_of`.  A kept term's are kept, per state
+        unless it is still; one over a slot that `exists` binds is not."""
         if kinds[t] is Var:
             slot = slots[t]
             return groups[slot] if env[slot] is None else {env[slot]: c}
@@ -764,13 +738,12 @@ def check_all(
         kind, decided = kinds[i], todo
         if (kind is Pred or kind is Eq) and not vslots[i]:
             every = todo[0] if not todo[1] else [*todo[0], *todo[1]]
-            args = [vector(a, every) for a in kids[i]]
             if kind is Eq:
-                left, right = args
-                marks = _where(todo, {k for k in every if left[k] == right[k]})
+                left, right = kids[i]
+                marks = _where(todo, {k for k in every if value(left, k) == value(right, k)})
             else:
-                name = attrs[i][0]
-                marks = _where(todo, {k for k in every if pred(name, states[k], tuple([a[k] for a in args]))})
+                name, args = attrs[i][0], kids[i]
+                marks = _where(todo, {k for k in every if pred(name, states[k], tuple([value(a, k) for a in args]))})
         elif kind is Pred or kind is Eq:
             got, name = {}, attrs[i][0] if kind is Pred else None
             for k, c in _masks(todo, full).items():
@@ -844,7 +817,7 @@ def check_all(
     try:
         marks = label(root, (focus, {}))
     finally:  # each of these reaches itself through its cell: unbound, the call's tables go with it
-        label = vector = value = partition = args_of = None
+        label = value = partition = args_of = None
     if negated_root:
         marks = _minus((focus, {}), marks, full)
     stats = CheckStats(n, len(g.actions), len(store) + len(passing), (time.perf_counter() - t0) * 1000.0)

@@ -739,6 +739,43 @@ def test_check_all_callbacks_over_every_profile_of_a_1024_profile_game():
         assert [s for s, sat in zip(candidates, sats) if "()" in sat.states] == oracle_equilibria(game, concept)
 
 
+def test_check_all_callbacks_of_terms_that_no_valuation_varies():
+    # a term no valuation varies has one value per state, kept for the call
+    # also over a slot that `exists` binds.  Two shapes on CI's lopsided
+    # game with 4 moves run exactly these callbacks: one valuation, whose
+    # atoms share the `exists`-bound `O_h(h, v1, w)` (43 029 `fun` calls
+    # when such a term is evaluated afresh at each use), and the 256
+    # profiles that share player 1's first strategy, where `v1` is the same
+    # in every valuation, so `O_h(h, v1, w2)` does not vary either
+    game = _ci_lopsided_game("abcd")
+    g = to_gal_structure(game)
+    funs, preds = [], []
+    fun_eval, pred_eval = g.interp.fun_eval, g.interp.pred_eval
+    g.interp.fun_eval = lambda *a: funs.append(a) or fun_eval(*a)
+    g.interp.pred_eval = lambda *a: preds.append(a) or pred_eval(*a)
+    f = parse_formula(
+        "AG forall w:S2 . (ge(u1(O_h(h, v1:S1, w)), u1(O_h(h, v1, w))) & ge(u2(O_h(h, v1, w)), u2(O_h(h, v1, w))))",
+        g.sig,
+    )
+    (got,) = check_all(g, f, [{Var("v1", "S1"): g.domains["S1"][0]}])
+    assert got.states == set(g.states)
+    assert (len(funs), len(preds)) == (16149, 10752)
+    first = next(profiles(game)).strategies[0]
+    candidates = [s for s in profiles(game) if s.strategies[0] == first]
+    valuations = [profile_valuation(g, game, s) for s in candidates]
+    assert len(valuations) == 256
+    for concept, f, counts in (
+        (EquilibriumConcept.NE, ne_formula(game), (2025, 647)),
+        (EquilibriumConcept.SPE, spe_formula(game), (4069, 1383)),
+    ):
+        funs.clear()
+        preds.clear()
+        sats = check_all(g, f, valuations, at=["()"])
+        assert (len(funs), len(preds)) == counts
+        expected = [s for s in oracle_equilibria(game, concept) if s.strategies[0] == first]
+        assert [s for s, sat in zip(candidates, sats) if "()" in sat.states] == expected
+
+
 def test_check_all_shares_its_work_across_valuations(example_structure, example_game):
     # the labels hold a bit per valuation, so a repeated valuation labels
     # no instance more: the same answers, twice, and the same instances
@@ -756,7 +793,7 @@ def test_check_all_shares_its_work_across_valuations(example_structure, example_
 
 def test_check_all_binds_every_valuation_before_labelling(example_game):
     # a binding error in the last valuation is raised before any
-    # interpretation callback runs
+    # interpretation callback runs, and an empty list of valuations runs none
     g = to_gal_structure(example_game)
     calls = []
     fun_eval, pred_eval = g.interp.fun_eval, g.interp.pred_eval
@@ -767,6 +804,8 @@ def test_check_all_binds_every_valuation_before_labelling(example_game):
         with pytest.raises(BindingError):
             check_all(g, ne_formula(example_game), [*valuations, last])
         assert calls == []
+    assert check_all(g, ne_formula(example_game), []) == []
+    assert calls == []
     check_all(g, ne_formula(example_game), valuations)
     assert calls
 
@@ -842,6 +881,20 @@ def test_check_all_raises_what_check_raises(example_structure):
     with pytest.raises(BindingError) as together:
         check_all(example_structure, both, [{}])
     assert str(together.value) == str(alone.value)
+
+    # an atom's operands are evaluated state by state, as `check` does: with
+    # `f` failing at the second state and `g` at the first, both raise `g`'s
+    from galcheck.logic import FuncDecl, PredDecl, Signature
+
+    def fun_eval(name, state, args):
+        if (name, state) in {("f", "e1"), ("g", "e0")}:
+            raise InterpretationError(f"no {name} at {state}")
+        return "x"
+
+    sig = Signature({"S"}, {"f": FuncDecl((), "S"), "g": FuncDecl((), "S")}, {"p": PredDecl(("S", "S"))}, ())
+    g = GalStructure(sig, ["e0", "e1"], ["e0"], [], {"S": ["x"]}, {}, fun_eval, lambda *a: True)
+    for f in (Pred("p", (App("f"), App("g"))), Eq(App("f"), App("g"))):
+        _same_error(g, f)
 
 
 # Ill-formed formulas on the worked example's signature: one fault each.

@@ -391,6 +391,14 @@ def test_nodes_compare_by_class_and_fields():
     assert App("g", (App("a"),)) != App("g", (App("b"),))
     assert Pred("p", ()) != Pred("p", (App("a"),))
     assert Not(Top()) != EX(Top()) and Not(Top()) != "!true"
+    # CPython hashes -1 like -2, so these pairs share their stored hash and
+    # only the fields tell them apart; an int name, which no parsed formula
+    # has, makes the names themselves collide
+    for cls in (App, Pred):
+        a, b = cls("f", (DomainConst("S", -1),)), cls("f", (DomainConst("S", -2),))
+        assert hash(a) == hash(b) and a != b and a == cls("f", (DomainConst("S", -1),))
+        a, b = cls(-1, (Var("x", "S"),)), cls(-2, (Var("x", "S"),))
+        assert hash(a) == hash(b) and a != b
 
 
 # --------------------------------------------------------------------------- #

@@ -203,6 +203,18 @@ def test_provider_names_the_symbol_state_and_labels_of_a_failing_callback():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
+def test_provider_passes_a_callbacks_interpretation_error_through():
+    failure = InterpretationError("no such row")
+
+    def pred_eval(name, state, args):
+        raise failure
+
+    g = tiny_structure([], {}, pred_eval=pred_eval)
+    with pytest.raises(InterpretationError) as err:
+        g.interp.pred("q", "e1", ())
+    assert err.value is failure
+
+
 def test_provider_runs_the_callbacks_again_on_every_call():
     # the structure keeps no answers between calls: the same check_all and
     # eval_term run every callback again, as often; inside one check_all a
