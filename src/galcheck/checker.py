@@ -44,13 +44,13 @@ is left; `AX` passes down the successors; `E[U]`/`A[U]` label the right
 operand on the forward closure of the care set and the left operand only
 where the right one fails.  A term is evaluated only where a care set
 reaches: one element per state where no slot of it varies with the
-valuation, kept for the call even over a slot that `exists` binds, else a
-partition of the valuations by value, not kept over such a slot, as terms
-are value partitions in algebraic decision diagrams (Bahar et al., ICCAD
-1993).  So `galcheck check` evaluates a table entry only where a care set
-reaches it, and its stats are `check_all`'s: `subformulas` counts no `!`
-and no instance that no care set reaches, and `millis` leaves out
-compilation and binding.
+valuation, else a partition of the valuations by value, as terms are value
+partitions in algebraic decision diagrams (Bahar et al., ICCAD 1993); over
+a slot that `exists` binds, no partition is kept, and only the latest
+element's values.  So `galcheck check` evaluates a table entry only where
+a care set reaches it, and its stats are `check_all`'s: `subformulas`
+counts no `!` and no instance that no care set reaches, and `millis`
+leaves out compilation and binding.
 """
 
 from __future__ import annotations
@@ -647,15 +647,16 @@ def check_all(
     movers: dict[str, set[int]] = {}  # player -> the states where they move
     pred, fun = g.interp.pred, g.interp.fun
     vectors: dict = {}
+    latest: dict = {}  # a term that is not kept -> its one key in vectors
     partitions: dict = {}
     store: dict = {}
     passing: set = set()  # the instances labelled whose labels are not kept
 
     def value(t: int, k: int) -> DomainElem:
         """Term t's element at state k; no slot of t varies.  A variable
-        reads `env`; any other term's values by state are kept for the call
-        under t and the elements in its slots, also over a slot that
-        `exists` binds, and a still term's fill every state at once."""
+        reads `env`; any other term's values by state are kept under t and
+        the elements in its slots (a still term's values fill every state
+        at once); over a slot that `exists` binds, for the latest elements."""
         kind = kinds[t]
         if kind is Var:
             return sort_of[slots[t]][env[slots[t]]]
@@ -673,6 +674,9 @@ def check_all(
             elem = fun(attrs[t][0], states[k], tuple(args))
         if vec is None:
             vec = vectors[key] = [elem] * n if t in still else [None] * n
+            if not kept[t]:
+                vectors.pop(latest.get(t), None)
+                latest[t] = key
         vec[k] = elem
         return elem
 

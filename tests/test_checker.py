@@ -741,12 +741,12 @@ def test_check_all_callbacks_over_every_profile_of_a_1024_profile_game():
 
 def test_check_all_callbacks_of_terms_that_no_valuation_varies():
     # a term no valuation varies has one value per state, kept for the call
-    # also over a slot that `exists` binds.  Two shapes on CI's lopsided
-    # game with 4 moves run exactly these callbacks: one valuation, whose
-    # atoms share the `exists`-bound `O_h(h, v1, w)` (43 029 `fun` calls
-    # when such a term is evaluated afresh at each use), and the 256
-    # profiles that share player 1's first strategy, where `v1` is the same
-    # in every valuation, so `O_h(h, v1, w2)` does not vary either
+    # (over a slot that `exists` binds, for its latest elements).  Two shapes
+    # on CI's lopsided game with 4 moves run exactly these callbacks: one
+    # valuation, whose atoms share the `exists`-bound `O_h(h, v1, w)` (43 029
+    # `fun` calls when such a term is evaluated afresh at each use), and the
+    # 256 profiles that share player 1's first strategy, where `v1` is the
+    # same in every valuation, so `O_h(h, v1, w2)` does not vary either
     game = _ci_lopsided_game("abcd")
     g = to_gal_structure(game)
     funs, preds = [], []
