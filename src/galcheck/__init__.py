@@ -50,9 +50,8 @@ from .logic import (
     free_variables,
     parse_formula,
     pretty,
-    substitute,
 )
-from .structure import GalStructure, InterpretationProvider, Path, eval_term
+from .structure import GalStructure, InterpretationProvider, eval_term
 
 __version__ = "0.1.0"
 

@@ -188,15 +188,6 @@ def history_label(h: History) -> str:
 # Tree traversal
 
 
-def histories(g: ExtensiveGame) -> list[History]:
-    """All histories in preorder; siblings in canonical order."""
-    return list(g.nodes)
-
-
-def terminal_histories(g: ExtensiveGame) -> list[History]:
-    return [h for h, node in g.nodes.items() if node.is_terminal]
-
-
 def decision_histories(g: ExtensiveGame, i: str) -> list[History]:
     return [h for h, node in g.nodes.items() if node.player == i]
 

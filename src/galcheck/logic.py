@@ -19,8 +19,7 @@ prints from it.  Prefix modalities and quantifiers bind their whole
 suffix.  A bare identifier in formula position is a 0-ary predicate.  A free
 (valuation-bound) variable is written with a sort annotation `x:S`; later
 occurrences may omit it.  `#S:3` denotes the fourth element of sort S's
-domain enumeration; such literals are normally introduced only by
-substitution.
+domain enumeration.
 
 Nodes store their hash and height when built, so neither recurses.  The
 parser, `free_variables`, `expand_abbreviations` and `well_formed` keep
@@ -431,28 +430,6 @@ def free_variable_map(x: Formula | Term) -> dict[int, frozenset[Var]]:
 def free_variables(x: Formula | Term) -> frozenset[Var]:
     """The free sorted variables of a formula or term; quantifiers bind."""
     return free_variable_map(x)[id(x)]
-
-
-def substitute(f: Formula, x: Var, d: DomainElem) -> Formula:
-    """Replace free occurrences of `x` by the ground literal for `d`,
-    without recursion; an unchanged node is returned as it is.
-
-    The result is canonical: structurally equal substitution results compare
-    equal, which makes them usable as labeling keys.
-    """
-    if d.sort != x.sort:
-        raise SortError(f"cannot substitute {d.sort} element for variable of sort {x.sort}")
-    c = DomainConst(d.sort, d.index)
-    done: dict[int, Formula | Term] = {}  # id of a node -> its substitution
-    for y, ops in post_order(f):
-        new = [done[id(z)] for z in ops]
-        if isinstance(y, Var) and y == x:
-            done[id(y)] = c
-        elif isinstance(y, (Exists, Forall)) and y.var == x or not any(map(is_not, new, ops)):
-            done[id(y)] = y
-        else:
-            done[id(y)] = rebuild(y, new)
-    return done[id(f)]
 
 
 # Each abbreviation's core form, built with the core constructors `c` from

@@ -14,7 +14,6 @@ A structure is checked once, when it is built: the constructor raises one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InterpretationError, ValidationError
@@ -229,67 +228,6 @@ def eval_term(g: GalStructure, e: str, t: Term, v: Valuation | None = None) -> D
         return g.interp.fun(t.func, e, args)
 
     return go(t)
-
-
-# --------------------------------------------------------------------------- #
-# Paths (diagnostics and test oracles only; the checker works on the graph)
-
-
-@dataclass(frozen=True)
-class Path:
-    """A maximal run: `states` is the visited prefix; a finite path has
-    cycle_start None, a lasso repeats states[cycle_start:] forever."""
-
-    states: tuple[str, ...]
-    cycle_start: int | None = None
-
-
-def path_violations(g: GalStructure, p: Path) -> list[str]:
-    out = []
-    if not p.states:
-        return ["path has no states"]
-    actions = set(g.actions)
-    for a, b in zip(p.states, p.states[1:]):
-        if (a, b) not in actions:
-            out.append(f"({a!r}, {b!r}) is not an action")
-    if p.cycle_start is None:
-        if not g.is_deadlock(p.states[-1]):
-            out.append(f"finite path ends at {p.states[-1]!r}, which has a successor")
-    else:
-        if not 0 <= p.cycle_start < len(p.states):
-            out.append("cycle start out of range")
-        elif (p.states[-1], p.states[p.cycle_start]) not in actions:
-            out.append("lasso is not closed under the action relation")
-    return out
-
-
-def maximal_paths(g: GalStructure, start: str, limit: int = 10000):
-    """Yield every maximal path from `start`, folding each cycle at its
-    first revisit.  Intended for small structures; stops after `limit`."""
-    count = 0
-
-    def walk(trail: list[str], on_trail: dict[str, int]):
-        nonlocal count
-        if count >= limit:
-            raise RuntimeError(f"more than {limit} maximal paths")
-        here = trail[-1]
-        succ = g.successors(here)
-        if not succ:
-            count += 1
-            yield Path(tuple(trail), None)
-            return
-        for nxt in succ:
-            if nxt in on_trail:
-                count += 1
-                yield Path(tuple(trail), on_trail[nxt])
-            else:
-                trail.append(nxt)
-                on_trail[nxt] = len(trail) - 1
-                yield from walk(trail, on_trail)
-                del on_trail[nxt]
-                trail.pop()
-
-    yield from walk([start], {start: 0})
 
 
 # --------------------------------------------------------------------------- #

@@ -212,7 +212,14 @@ def _func_entries(table: Any, decl: FuncDecl, index: Mapping, path: str) -> dict
 
 def _pred_rows(rows: Any, decl: PredDecl, index: Mapping, path: str) -> set:
     relation: set[tuple[str, ...]] = set()
+    labels_of = [index[sort][0] for sort in decl.args]
     for k, row in enumerate(_as_list(rows, path)):
+        try:  # a row of its sorts' labels is taken at once
+            if isinstance(row, list) and len(row) == len(labels_of) and all(map(set.__contains__, labels_of, row)):
+                relation.add(tuple(row))
+                continue
+        except TypeError:  # an unhashable entry: the checks below name it
+            pass
         row = _as_list(row, f"{path}/{k}")
         if len(row) != len(decl.args):
             raise SchemaError(f"expected {len(decl.args)} arguments", f"{path}/{k}")
@@ -388,50 +395,8 @@ def _rational(value: Any, path: str) -> Fraction:
     raise SchemaError("expected a number or [num, den] pair", path)
 
 
-def dump_game(g: ExtensiveGame) -> bytes:
-    def node(n: GameNode) -> dict:
-        if n.is_terminal:
-            return {"utilities": {p: _num_json(u) for p, u in (n.utilities or ())}}
-        return {"player": n.player, "moves": {a: node(c) for a, c in n.moves}}
-
-    doc = {"players": list(g.players), "root": node(g.root)}
-    return (json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def _num_json(u: Fraction):
-    return u.numerator if u.denominator == 1 else [u.numerator, u.denominator]
-
-
 # --------------------------------------------------------------------------- #
 # Bimatrix games
-
-
-def load_bimatrix(data: bytes | str) -> Bimatrix:
-    doc = _as_obj(_loads(data), "")
-    _check_keys(doc, {"m", "n", "u1", "u2", "seed"}, {"m", "n", "u1", "u2", "seed"}, "")
-    m, n, seed = doc["m"], doc["n"], doc["seed"]
-    for field_name, value in (("m", m), ("n", n), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError("expected an integer", f"/{field_name}")
-    if m < 1 or n < 1:
-        raise SchemaError("action counts must be >= 1", "/m" if m < 1 else "/n")
-
-    def table(which: str) -> tuple[tuple[int, ...], ...]:
-        rows = _as_list(doc[which], f"/{which}")
-        if len(rows) != m:
-            raise SchemaError(f"expected {m} rows", f"/{which}")
-        out = []
-        for r, row in enumerate(rows):
-            row = _as_list(row, f"/{which}/{r}")
-            if len(row) != n:
-                raise SchemaError(f"expected {n} columns", f"/{which}/{r}")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise SchemaError("expected an integer payoff", f"/{which}/{r}")
-            out.append(tuple(row))
-        return tuple(out)
-
-    return Bimatrix(m, n, table("u1"), table("u2"), seed)
 
 
 def dump_bimatrix(b: Bimatrix) -> bytes:

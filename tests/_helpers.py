@@ -8,9 +8,12 @@ independent routes to the same answer.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import is_not
 
+from galcheck.errors import SortError
 from galcheck.extensive import ExtensiveGame, GameNode, decision, terminal
 from galcheck.logic import (
     AF,
@@ -38,6 +41,8 @@ from galcheck.logic import (
     Signature,
     Top,
     Var,
+    post_order,
+    rebuild,
 )
 from galcheck.structure import GalStructure, table_provider
 
@@ -215,6 +220,89 @@ def random_formula(rng: random.Random, g: GalStructure, depth: int, scope: list[
 
 
 # --------------------------------------------------------------------------- #
+# Ground instances (over `logic.post_order` and `rebuild`) and maximal paths
+
+
+def substitute(f, x: Var, d):
+    """Replace free occurrences of `x` by the ground literal for `d`,
+    without recursion; an unchanged node is returned as it is.
+
+    The result is canonical: structurally equal substitution results compare
+    equal, which makes them usable as labeling keys.
+    """
+    if d.sort != x.sort:
+        raise SortError(f"cannot substitute {d.sort} element for variable of sort {x.sort}")
+    c = DomainConst(d.sort, d.index)
+    done = {}  # id of a node -> its substitution
+    for y, ops in post_order(f):
+        new = [done[id(z)] for z in ops]
+        if isinstance(y, Var) and y == x:
+            done[id(y)] = c
+        elif isinstance(y, (Exists, Forall)) and y.var == x or not any(map(is_not, new, ops)):
+            done[id(y)] = y
+        else:
+            done[id(y)] = rebuild(y, new)
+    return done[id(f)]
+
+
+@dataclass(frozen=True)
+class Path:
+    """A maximal run: `states` is the visited prefix; a finite path has
+    cycle_start None, a lasso repeats states[cycle_start:] forever."""
+
+    states: tuple[str, ...]
+    cycle_start: int | None = None
+
+
+def path_violations(g: GalStructure, p: Path) -> list[str]:
+    out = []
+    if not p.states:
+        return ["path has no states"]
+    actions = set(g.actions)
+    for a, b in zip(p.states, p.states[1:]):
+        if (a, b) not in actions:
+            out.append(f"({a!r}, {b!r}) is not an action")
+    if p.cycle_start is None:
+        if not g.is_deadlock(p.states[-1]):
+            out.append(f"finite path ends at {p.states[-1]!r}, which has a successor")
+    else:
+        if not 0 <= p.cycle_start < len(p.states):
+            out.append("cycle start out of range")
+        elif (p.states[-1], p.states[p.cycle_start]) not in actions:
+            out.append("lasso is not closed under the action relation")
+    return out
+
+
+def maximal_paths(g: GalStructure, start: str, limit: int = 10000):
+    """Yield every maximal path from `start`, folding each cycle at its
+    first revisit.  Intended for small structures; stops after `limit`."""
+    count = 0
+
+    def walk(trail: list[str], on_trail: dict[str, int]):
+        nonlocal count
+        if count >= limit:
+            raise RuntimeError(f"more than {limit} maximal paths")
+        here = trail[-1]
+        succ = g.successors(here)
+        if not succ:
+            count += 1
+            yield Path(tuple(trail), None)
+            return
+        for nxt in succ:
+            if nxt in on_trail:
+                count += 1
+                yield Path(tuple(trail), on_trail[nxt])
+            else:
+                trail.append(nxt)
+                on_trail[nxt] = len(trail) - 1
+                yield from walk(trail, on_trail)
+                del on_trail[nxt]
+                trail.pop()
+
+    yield from walk([start], {start: 0})
+
+
+# --------------------------------------------------------------------------- #
 # Path-semantics oracles (independent of the fixpoint checker)
 
 
@@ -300,8 +388,6 @@ def run_identity_suite(structures, formulas_per_structure, rng):
     """Abbreviation identities, dualities, and quantifier extensionality as
     satisfaction-set equalities, on random formula instantiations, for
     each labeller."""
-    from galcheck.logic import substitute
-
     for g in structures:
         for _ in range(formulas_per_structure):
             a = random_formula(rng, g, depth=2)
@@ -355,28 +441,16 @@ def run_path_oracle_suite(structures, formulas_per_structure, rng):
 
 
 def naive_holds(g, e: str, f, env) -> bool:
-    from galcheck.logic import (
-        AU as _AU,
-        AX as _AX,
-        EU as _EU,
-        EX as _EX,
-        Eq as _Eq,
-        Implies as _Implies,
-        Not as _Not,
-        PlayerAtom as _Player,
-        Pred as _Pred,
-        Top as _Top,
-        Bottom as _Bottom,
-        And as _And,
-        Or as _Or,
-        AF as _AF,
-        AG as _AG,
-        EF as _EF,
-        EG as _EG,
-        Exists as _Exists,
-        Forall as _Forall,
-    )
-    from galcheck.structure import eval_term, maximal_paths
+    """Does `f` hold at state `e` under `env`?  Terms are evaluated here on
+    element labels through the structure's raw callbacks, and paths come
+    from `maximal_paths` above; nothing of the checker is used."""
+
+    def value(t) -> str:  # the label of a term's element at e
+        if isinstance(t, Var):
+            return env[t].label
+        if isinstance(t, DomainConst):
+            return g.domains[t.sort][t.index].label
+        return g.interp.fun_eval(t.func, e, tuple(value(a) for a in t.args))
 
     def walks(start):
         return [p.states for p in maximal_paths(g, start, limit=20000)]
@@ -387,52 +461,51 @@ def naive_holds(g, e: str, f, env) -> bool:
                 return all(naive_holds(g, walk[j], alpha, env) for j in range(k))
         return False
 
-    if isinstance(f, _Top):
+    if isinstance(f, Top):
         return True
-    if isinstance(f, _Bottom):
+    if isinstance(f, Bottom):
         return False
-    if isinstance(f, _Player):
+    if isinstance(f, PlayerAtom):
         return f.player in g.players_at.get(e, frozenset())
-    if isinstance(f, _Pred):
-        args = tuple(eval_term(g, e, t, env) for t in f.args)
-        return g.interp.pred(f.name, e, args)
-    if isinstance(f, _Eq):
-        return eval_term(g, e, f.left, env) == eval_term(g, e, f.right, env)
-    if isinstance(f, _Not):
+    if isinstance(f, Pred):
+        return bool(g.interp.pred_eval(f.name, e, tuple(value(t) for t in f.args)))
+    if isinstance(f, Eq):
+        return value(f.left) == value(f.right)
+    if isinstance(f, Not):
         return not naive_holds(g, e, f.body, env)
-    if isinstance(f, _And):
+    if isinstance(f, And):
         return naive_holds(g, e, f.left, env) and naive_holds(g, e, f.right, env)
-    if isinstance(f, _Or):
+    if isinstance(f, Or):
         return naive_holds(g, e, f.left, env) or naive_holds(g, e, f.right, env)
-    if isinstance(f, _Implies):
+    if isinstance(f, Implies):
         return (not naive_holds(g, e, f.left, env)) or naive_holds(g, e, f.right, env)
-    if isinstance(f, _EX):
+    if isinstance(f, EX):
         return any(naive_holds(g, s, f.body, env) for s in g.successors(e))
-    if isinstance(f, _AX):
+    if isinstance(f, AX):
         return all(naive_holds(g, s, f.body, env) for s in g.successors(e))
-    if isinstance(f, _EU):
+    if isinstance(f, EU):
         return any(until_on_walk(w, f.left, f.right) for w in walks(e))
-    if isinstance(f, _AU):
+    if isinstance(f, AU):
         return all(until_on_walk(w, f.left, f.right) for w in walks(e))
-    if isinstance(f, _EF):
-        return naive_holds(g, e, _EU(_Top(), f.body), env)
-    if isinstance(f, _AF):
-        return naive_holds(g, e, _AU(_Top(), f.body), env)
-    if isinstance(f, _EG):
+    if isinstance(f, EF):
+        return naive_holds(g, e, EU(Top(), f.body), env)
+    if isinstance(f, AF):
+        return naive_holds(g, e, AU(Top(), f.body), env)
+    if isinstance(f, EG):
         return any(
             all(naive_holds(g, s, f.body, env) for s in w) for w in walks(e)
         )
-    if isinstance(f, _AG):
+    if isinstance(f, AG):
         return all(
             all(naive_holds(g, s, f.body, env) for s in w) for w in walks(e)
         )
-    if isinstance(f, (_Exists, _Forall)):
+    if isinstance(f, (Exists, Forall)):
         results = []
         for d in g.domains[f.var.sort]:
             inner = dict(env)
             inner[f.var] = d
             results.append(naive_holds(g, e, f.body, inner))
-        return any(results) if isinstance(f, _Exists) else all(results)
+        return any(results) if isinstance(f, Exists) else all(results)
     raise TypeError(f"not a formula: {f!r}")
 
 

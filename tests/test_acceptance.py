@@ -19,7 +19,6 @@ from galcheck.cli import main
 from galcheck.extensive import (
     EquilibriumConcept,
     backward_induction,
-    histories,
     ne_formula,
     oracle_equilibria,
     profile_valuation,
@@ -82,7 +81,7 @@ def corpus_audit():
                     s.labels in ne_oracle,
                 )
             )
-        hs = histories(game)
+        hs = list(game.nodes)
         flags_ok = all(
             gs.is_deadlock(e) == (not gs.players_at[e]) for e in gs.states
         )
@@ -267,7 +266,7 @@ def test_criterion_6_bench_families(tmp_path, capsys):
 def test_criterion_7_structure_mapping(corpus_audit, capsys):
     games, audits, _ = corpus_audit
     for game, audit in zip(games, audits):
-        hs = histories(game)
+        hs = list(game.nodes)
         assert audit.state_count == len(hs)
         assert audit.action_count == len(hs) - 1
         assert audit.terminal_flags_consistent

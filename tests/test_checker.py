@@ -350,6 +350,32 @@ def test_checker_matches_naive_reference_evaluator_on_open_formulas():
                 assert (e in alone) == want and (e in together.states) == want, (f, v, e)
 
 
+def test_check_all_agrees_with_naive_holds_on_random_cases():
+    # a differential harness for check_all's mask algebra (`_meet`, `_minus`,
+    # `_join`, `_where`, `_closure`, `_until`): random structures of up to 7
+    # states, formulas of depth 2 to 4 over 0 to 3 free variables, valuation
+    # lists with repeats in random order (some longer than 64, so a mask
+    # spans machine words) and, in about 60 % of the cases, a random `at`;
+    # every answer is the naive evaluator's
+    from _helpers import naive_holds
+
+    rng = random.Random(20261022)
+    for case in range(3000):
+        g = random_structure(rng, max_states=7)
+        free = [Var(f"y{k}", rng.choice(sorted(g.domains))) for k in range(rng.randint(0, 3))]
+        f = random_formula(rng, g, depth=rng.randint(2, 4), scope=free)
+        pool = _all_valuations(g, free)
+        valuations = [rng.choice(pool) for _ in range(rng.choice((1, 2, 5, 17, 65, 150)))]
+        at = rng.sample(g.states, rng.randint(1, len(g.states))) if rng.random() < 0.6 else None
+        focus = g.states if at is None else at
+        want = {}
+        for v, got in zip(valuations, check_all(g, f, valuations, at=at), strict=True):
+            key = tuple(v[y] for y in free)
+            if key not in want:
+                want[key] = {e for e in focus if naive_holds(g, e, f, v)}
+            assert got.states == want[key], (case, f, v, at)
+
+
 def _round_based_eu(g, alpha, beta):
     """Reference fixpoint by whole-set rounds; also checks monotone growth
     and termination within |states| rounds."""

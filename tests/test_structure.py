@@ -6,16 +6,9 @@ from galcheck.checker import check_all
 from galcheck.errors import InterpretationError, ValidationError
 from galcheck.extensive import to_gal_structure
 from galcheck.logic import App, DomainConst, FuncDecl, Pred, PredDecl, Signature, Var
-from galcheck.structure import (
-    GalStructure,
-    Path,
-    eval_term,
-    maximal_paths,
-    path_violations,
-    table_provider,
-)
+from galcheck.structure import GalStructure, eval_term, table_provider
 
-from _helpers import random_structure
+from _helpers import Path, maximal_paths, path_violations, random_structure
 
 
 def tiny_structure(actions, players_at, states=("e0", "e1", "e2"), **changes):
@@ -253,7 +246,7 @@ def test_provider_runs_the_callbacks_again_on_every_call():
 
 
 # --------------------------------------------------------------------------- #
-# paths
+# paths: the maximal-path oracle of `_helpers`
 
 
 def test_path_validity_on_example(example_structure):
