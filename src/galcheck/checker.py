@@ -45,12 +45,14 @@ operand on the forward closure of the care set and the left operand only
 where the right one fails.  A term is evaluated only where a care set
 reaches: one element per state where no slot of it varies with the
 valuation, else a partition of the valuations by value, as terms are value
-partitions in algebraic decision diagrams (Bahar et al., ICCAD 1993); over
-a slot that `exists` binds, no partition is kept, and only the latest
-element's values.  So `galcheck check` evaluates a table entry only where
-a care set reaches it, and its stats are `check_all`'s: `subformulas`
-counts no `!` and no instance that no care set reaches, and `millis`
-leaves out compilation and binding.
+partitions in algebraic decision diagrams (Bahar et al., ICCAD 1993).
+Each table keeps one entry per node (its label, its values or its
+partitions), for the elements now in the node's `exists`-bound slots;
+asked under other elements, the node's entry is replaced.  So `galcheck
+check` evaluates a table entry only where a care set reaches it, and its
+stats are `check_all`'s: `subformulas` counts no `!` and no instance
+that no care set reaches, and `millis` leaves out compilation and
+binding.
 """
 
 from __future__ import annotations
@@ -505,11 +507,12 @@ def check_all(
     one element holds its index in `env`, as a slot that `exists` binds
     does; a slot the valuations disagree on varies: it holds None, and its
     group gives each of its elements the mask of the valuations binding it.
-    An instance's key is a node with the elements in its slots that do not
-    vary (a slot that `exists` rebinds counts as one that does not).  A term
-    with no varying slot has one value per state, in its vector; any other
-    term's value at a state is a partition, {element index: mask}.  The
-    stats describe the whole call.  Nothing outlives the call.
+    An instance is a node with the elements in its `exists`-bound slots; a
+    node's label and a term's values are kept in one entry per node, for
+    the elements those slots hold now.  A term with no varying slot has
+    one value per state; any other term's value at a state is a
+    partition, {element index: mask}.  The stats count the instances
+    labelled, over the whole call.  Nothing outlives the call.
     """
     states, succ = g.states, g.successor_indices()
     n = len(states)
@@ -632,39 +635,42 @@ def check_all(
             for j, d in enumerate(column):
                 group[d] |= 1 << j
             groups[free_slots[var]] = group
-    varying = groups.keys() - bound
-    getter_of, vslots_of = {}, {}  # by free slots: the key getter and the varying slots
+    getter_of, vslots_of = {}, {}  # by free slots: the getter of the bound ones and the varying slots
     for fv in set(free):
-        key = sorted(fv - varying)
+        key = sorted(fv & bound)
         getter_of[fv] = itemgetter(*key) if key else None
         vslots_of[fv] = tuple(sorted(fv & groups.keys()))
     getters = list(map(getter_of.__getitem__, free))
     vslots = list(map(vslots_of.__getitem__, free))
-    # A node over a slot that `exists` binds is asked once per element by
-    # that `exists`, which keeps its own label and partitions: kept too, its
-    # labels would hold masks for every element of the sort.
-    kept = list(map(bound.isdisjoint, free))
     movers: dict[str, set[int]] = {}  # player -> the states where they move
     pred, fun = g.interp.pred, g.interp.fun
-    vectors: dict = {}
-    latest: dict = {}  # a term that is not kept -> its one key in vectors
-    partitions: dict = {}
-    store: dict = {}
-    passing: set = set()  # the instances labelled whose labels are not kept
+    # One entry per node, for the elements in its `exists`-bound slots; asked
+    # under other elements, a node replaces its entry.
+    terms: list = [None] * len(kinds)  # [elements, value or partition by state; a still term's at 0]
+    store: list = [None] * len(kinds)  # (elements, the care decided, the label there)
+    labelled: set = set()  # the (node, elements) labelled, for the stats
+    nones = [None] * n
+
+    def row(t: int) -> list:
+        """Term t's entry by state, for the elements in its bound slots: the
+        list of other elements' is emptied and reused."""
+        elems = getters[t](env) if getters[t] else None
+        entry = terms[t]
+        if entry is None:
+            entry = terms[t] = [elems, [None] * n]
+        elif entry[0] != elems:
+            entry[0], entry[1][:] = elems, nones
+        return entry[1]
 
     def value(t: int, k: int) -> DomainElem:
         """Term t's element at state k; no slot of t varies.  A variable
-        reads `env`; any other term's values by state are kept under t and
-        the elements in its slots (a still term's values fill every state
-        at once); over a slot that `exists` binds, for the latest elements."""
+        reads `env`; any other term's is kept in its entry."""
         kind = kinds[t]
         if kind is Var:
             return sort_of[slots[t]][env[slots[t]]]
-        get = getters[t]
-        key = (t, get(env)) if get else t
-        vec = vectors.get(key)
-        if vec is not None and vec[k] is not None:
-            return vec[k]
+        vec, j = row(t), 0 if t in still else k
+        if vec[j] is not None:
+            return vec[j]
         if kind is DomainConst:
             elem = domain[t][attrs[t][1]]
         else:
@@ -672,39 +678,30 @@ def check_all(
             for a in kids[t]:  # a loop, not a comprehension: one frame per level of a deep term
                 args.append(value(a, k))
             elem = fun(attrs[t][0], states[k], tuple(args))
-        if vec is None:
-            vec = vectors[key] = [elem] * n if t in still else [None] * n
-            if not kept[t]:
-                vectors.pop(latest.get(t), None)
-                latest[t] = key
-        vec[k] = elem
+        vec[j] = elem
         return elem
 
     def partition(t: int, k: int, c: int) -> dict:
         """Term t's values at state k under the valuations of mask c, as
         {element index: mask}: disjoint masks that cover c and may cover
         more, so a caller meets them with c; some slot of t varies.  One
-        callback per tuple of `args_of`.  A kept term's are kept, per state
-        unless it is still; one over a slot that `exists` binds is not."""
+        callback per tuple of `args_of`; what they give is kept in t's
+        entry, with the valuations it covers."""
         if kinds[t] is Var:
             slot = slots[t]
             return groups[slot] if env[slot] is None else {env[slot]: c}
-        if kept[t]:
-            key = t if t in still else (t, k)
-            covered, part = partitions.get(key, (0, {}))
-            need = c & ~covered
-            if not need:
-                return part
-        else:
-            need = c
+        parts, j = row(t), 0 if t in still else k
+        covered, part = parts[j] or (0, {})
+        need = c & ~covered
+        if not need:
+            return part
         name, e, out = attrs[t][0], states[k], {}
         for args, x in args_of(t, k, need):
             d = fun(name, e, args).index
             out[d] = out.get(d, 0) | x
-        if kept[t]:
-            for d, x in part.items():
-                out[d] = out.get(d, 0) | x
-            partitions[key] = covered | need, out
+        for d, x in part.items():
+            out[d] = out.get(d, 0) | x
+        parts[j] = covered | need, out
         return out
 
     def args_of(i: int, k: int, c: int) -> list:
@@ -730,15 +727,14 @@ def check_all(
         masks alone, tic-tac-toe ran 12 % slower and `AX` formulas 8 %."""
         if not care[0] and not care[1]:
             return care
-        get = getters[i]
-        key = (i, get(env)) if get else i
-        entry = store.get(key) if kept[i] else None
-        if entry is None:
-            todo = care
+        elems = getters[i](env) if getters[i] else None
+        entry = store[i]
+        if entry is None or entry[0] != elems:
+            entry, todo = None, care
         else:
-            todo = _minus(care, entry[0], full)
+            todo = _minus(care, entry[1], full)
             if not todo[0] and not todo[1]:
-                return _meet(entry[1], care)
+                return _meet(entry[2], care)
         kind, decided = kinds[i], todo
         if (kind is Pred or kind is Eq) and not vslots[i]:
             every = todo[0] if not todo[1] else [*todo[0], *todo[1]]
@@ -808,13 +804,12 @@ def check_all(
             marks = _meet(todo, (movers.get(attrs[i][0], frozenset()), {}))
         else:  # Top
             marks = todo
-        if not kept[i]:
-            passing.add(key)
-        elif entry is None:
-            store[key] = decided, marks
+        labelled.add((i, elems))
+        if entry is None:
+            store[i] = elems, decided, marks
         else:
-            store[key] = _join(entry[0], decided, full), _join(entry[1], marks, full)
-            decided, marks = store[key]
+            store[i] = elems, _join(entry[1], decided, full), _join(entry[2], marks, full)
+            _, decided, marks = store[i]
         return marks if decided is care else _meet(marks, care)
 
     t0 = time.perf_counter()
@@ -824,7 +819,7 @@ def check_all(
         label = value = partition = args_of = None
     if negated_root:
         marks = _minus((focus, {}), marks, full)
-    stats = CheckStats(n, len(g.actions), len(store) + len(passing), (time.perf_counter() - t0) * 1000.0)
+    stats = CheckStats(n, len(g.actions), len(labelled), (time.perf_counter() - t0) * 1000.0)
     bits = [(states[k], format(x, f"0{len(bindings)}b")[::-1]) for k, x in marks[1].items()]
     sets = {(): frozenset([states[k] for k in marks[0]])}  # one frozenset per distinct answer
     out = []

@@ -199,10 +199,14 @@ def _tables(obj: dict, sig: Signature, index: Mapping, rigid: bool, path: str) -
 
 def _func_entries(table: Any, decl: FuncDecl, index: Mapping, path: str) -> dict:
     entries: dict[tuple[str, ...], str] = {}
-    # no label of the argument sorts holds a comma: each key has one way to cut
-    commaless = all([index[sort][1] == [1] for sort in decl.args])
+    labels_of = [index[sort][0] for sort in decl.args]
     for key, value in _as_obj(table, path).items():
-        args = _split_argskey(key, decl.args, index, path, commaless)
+        pieces = key.split(",") if key else []  # the key "" joins no labels
+        # every label has a piece, so a label per piece is the key's only parse
+        if len(pieces) == len(labels_of) and all(map(set.__contains__, labels_of, pieces)):
+            args = tuple(pieces)
+        else:
+            args = _split_argskey(key, decl.args, index, path)
         value = _as_str(value, path)
         if value not in index[decl.result][0]:
             raise SchemaError(f"value {value!r} is not an element of sort {decl.result!r}", path)
@@ -220,25 +224,20 @@ def _pred_rows(rows: Any, decl: PredDecl, index: Mapping, path: str) -> set:
                 continue
         except TypeError:  # an unhashable entry: the checks below name it
             pass
+        # any other row fails one of these checks, which name its fault
         row = _as_list(row, f"{path}/{k}")
         if len(row) != len(decl.args):
             raise SchemaError(f"expected {len(decl.args)} arguments", f"{path}/{k}")
-        labels = tuple(_as_str(x, f"{path}/{k}") for x in row)
-        for lab, sort in zip(labels, decl.args):
-            if lab not in index[sort][0]:
-                raise SchemaError(f"{lab!r} is not an element of sort {sort!r}", f"{path}/{k}")
-        relation.add(labels)
+        labels = [_as_str(x, f"{path}/{k}") for x in row]
+        lab, sort = next((lab, sort) for lab, sort in zip(labels, decl.args) if lab not in index[sort][0])
+        raise SchemaError(f"{lab!r} is not an element of sort {sort!r}", f"{path}/{k}")
     return relation
 
 
-def _split_argskey(
-    key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str, commaless: bool
-) -> tuple[str, ...]:
+def _split_argskey(key: str, arg_sorts: tuple[str, ...], index: Mapping, path: str) -> tuple[str, ...]:
     """Split a comma-joined argument key into element labels.
 
-    The key is cut at its commas once.  Where no label of the argument
-    sorts holds a comma (`commaless`), piece i is argument i, looked up
-    in its sort's labels.  Otherwise argument i takes as many pieces as
+    The key is cut at its commas once.  Argument i takes as many pieces as
     one of its sort's labels has, looked up among that sort's labels.
     The parse runs left to right without recursion: after each argument,
     every piece offset reached, with its number of parses (capped at 2) and
@@ -251,10 +250,6 @@ def _split_argskey(
         raise SchemaError(f"0-ary entry must use key \"\", got {key!r}", path)
     pieces = key.split(",") if key else []  # the key "" joins no labels
     n = len(arg_sorts)
-    if commaless:  # one way to cut
-        if len(pieces) == n and all([piece in index[sort][0] for piece, sort in zip(pieces, arg_sorts)]):
-            return tuple(pieces)
-        raise SchemaError(f"argument key {key!r} does not match the declared sorts", path)
     fewest, most = [0] * (n + 1), [0] * (n + 1)  # the pieces that arguments i.. can take
     for i in reversed(range(n)):
         counts = index[arg_sorts[i]][1] or [0]

@@ -376,6 +376,91 @@ def test_check_all_agrees_with_naive_holds_on_random_cases():
             assert got.states == want[key], (case, f, v, at)
 
 
+# check_all's mask algebra against a plain model of it: a label or care set
+# as a dict from state to the set of valuation indices there
+
+
+def _random_label(rng, n, width):
+    """A label over states 0..n-1 and `width` valuations, (the states whose
+    mask is full, {state: partial mask}), drawn with every state's mask
+    empty, full or partial in proportions drawn per label."""
+    empty, whole_share = rng.choice(((0, 0), (1, 0), (0, 1), (0.3, 0.3), (0.2, 0.6), (0.5, 0.1)))
+    whole, part = set(), {}
+    for k in range(n):
+        pick = rng.random()
+        if pick < empty:
+            continue
+        if pick < empty + whole_share or width == 1:
+            whole.add(k)
+        else:
+            part[k] = rng.randrange(1, (1 << width) - 1)
+    return whole, part
+
+
+def _model(label, width):
+    """The label as {state: valuation indices}, with no empty entry; a
+    partial mask must be neither empty nor full, at a state not whole."""
+    whole, part = label
+    assert part.keys().isdisjoint(whole) and all(0 < x < (1 << width) - 1 for x in part.values()), label
+    out = {k: set(range(width)) for k in whole}
+    out.update({k: {j for j in range(width) if x >> j & 1} for k, x in part.items()})
+    return out
+
+
+def _until_model(succ, eu, stay, goal, width):
+    """Least fixpoint Z = goal or (stay and some/every successor in Z), one
+    valuation at a time, by rounds."""
+    out = {}
+    for j in range(width):
+        z = {k for k, xs in goal.items() if j in xs}
+        while True:
+            more = {
+                k for k, xs in stay.items()
+                if j in xs and k not in z and (any if eu else all)(s in z for s in succ[k]) and succ[k]
+            }
+            if not more:
+                break
+            z |= more
+        for k in z:
+            out.setdefault(k, set()).add(j)
+    return out
+
+
+def test_mask_algebra_agrees_with_a_model_of_sets():
+    # `_meet`, `_minus`, `_join`, `_where`, `_closure` and `_until` on random
+    # labels over random graphs (with deadlocks, self-loops and converging
+    # paths), with empty, full and partial masks, some wider than a machine
+    # word: each answer is the model's, and keeps partial masks partial
+    from types import SimpleNamespace
+
+    from galcheck.checker import _closure, _join, _meet, _minus, _until, _where
+
+    rng = random.Random(1998)
+    for case in range(1500):
+        n, width = rng.randint(1, 6), rng.choice((1, 2, 3, 5, 64, 65))
+        full = (1 << width) - 1
+        succ = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)]
+        pred = [[p for p in range(n) if k in succ[p]] for k in range(n)]
+        g = SimpleNamespace(successor_indices=lambda: succ, predecessor_indices=lambda: pred)
+        a, b = _random_label(rng, n, width), _random_label(rng, n, width)
+        ma, mb = _model(a, width), _model(b, width)
+        hold = {k for k in ma if rng.random() < 0.5}
+        reach = [{k} for k in range(n)]  # the states reachable from each, itself included
+        for _ in range(n):
+            reach = [r.union(*(reach[s] for s in succ[k])) for k, r in enumerate(reach)]
+        closure = {}
+        for k, xs in ma.items():
+            for s in reach[k]:
+                closure.setdefault(s, set()).update(xs)
+        assert _model(_meet(a, b), width) == {k: xs & mb[k] for k, xs in ma.items() if xs & mb.get(k, set())}, case
+        assert _model(_minus(a, b, full), width) == {k: xs - mb.get(k, set()) for k, xs in ma.items() if xs - mb.get(k, set())}, case
+        assert _model(_join(a, b, full), width) == {k: ma.get(k, set()) | mb.get(k, set()) for k in ma.keys() | mb.keys()}, case
+        assert _model(_where(a, hold), width) == {k: ma[k] for k in hold}, case
+        assert _model(_closure(succ, a, full), width) == closure, case
+        for eu in (True, False):
+            assert _model(_until(g, eu, a, b, full), width) == _until_model(succ, eu, ma, mb, width), (case, eu)
+
+
 def _round_based_eu(g, alpha, beta):
     """Reference fixpoint by whole-set rounds; also checks monotone growth
     and termination within |states| rounds."""
@@ -766,8 +851,8 @@ def test_check_all_callbacks_over_every_profile_of_a_1024_profile_game():
 
 
 def test_check_all_callbacks_of_terms_that_no_valuation_varies():
-    # a term no valuation varies has one value per state, kept for the call
-    # (over a slot that `exists` binds, for its latest elements).  Two shapes
+    # a term no valuation varies has one value per state, kept for the
+    # elements now in its `exists`-bound slots, if any.  Two shapes
     # on CI's lopsided game with 4 moves run exactly these callbacks: one
     # valuation, whose atoms share the `exists`-bound `O_h(h, v1, w)` (43 029
     # `fun` calls when such a term is evaluated afresh at each use), and the
@@ -800,6 +885,44 @@ def test_check_all_callbacks_of_terms_that_no_valuation_varies():
         assert (len(funs), len(preds)) == counts
         expected = [s for s in oracle_equilibria(game, concept) if s.strategies[0] == first]
         assert [s for s, sat in zip(candidates, sats) if "()" in sat.states] == expected
+
+
+def test_check_all_reuses_a_bound_terms_work_within_one_element():
+    # a node over an `exists`-bound slot keeps its label and its partitions
+    # for the current element of that slot: over all four values of `v1` on
+    # CI's lopsided game with 4 moves, the formula above runs at most these
+    # `fun` callbacks (110 613 when such a node kept neither, so that each of
+    # its partitions was built again at every use), and answers as four
+    # one-valuation calls do
+    game = _ci_lopsided_game("abcd")
+    g = to_gal_structure(game)
+    funs = []
+    fun_eval = g.interp.fun_eval
+    g.interp.fun_eval = lambda *a: funs.append(a) or fun_eval(*a)
+    f = parse_formula(
+        "AG forall w:S2 . (ge(u1(O_h(h, v1:S1, w)), u1(O_h(h, v1, w))) & ge(u2(O_h(h, v1, w)), u2(O_h(h, v1, w))))",
+        g.sig,
+    )
+    valuations = [{Var("v1", "S1"): d} for d in g.domains["S1"]]
+    together = check_all(g, f, valuations)
+    assert len(funs) <= 33813
+    assert [s.states for s in together] == [check_all(g, f, [v])[0].states for v in valuations]
+
+
+def test_check_all_merges_a_partition_over_the_valuations_it_covers():
+    # a partition asked first for some valuations and then for more merges
+    # the values it kept with the new ones: the left disjunct asks
+    # `u1(O(v1, v2))` only where `v1` is #S1:0, the right one for every
+    # valuation, on CI's lopsided game with 3 moves (81 profiles)
+    from _helpers import naive_holds
+
+    g = to_gal_structure(_ci_lopsided_game("abc"))
+    f = parse_formula("(v1:S1 = #S1:0 & u1(O(v1, v2:S2)) = #U:0) | u1(O(v1, v2)) = #U:1", g.sig)
+    valuations = _all_valuations(g, [Var("v1", "S1"), Var("v2", "S2")])
+    assert len(valuations) == 81
+    got = [("()" in s.states) for s in check_all(g, f, valuations, at=["()"])]
+    assert got == [naive_holds(g, "()", f, v) for v in valuations]
+    assert 0 < sum(got) < 81
 
 
 def test_check_all_shares_its_work_across_valuations(example_structure, example_game):
